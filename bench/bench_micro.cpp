@@ -101,7 +101,7 @@ void BM_ValidateBcast(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(schedule.size()));
 }
-BENCHMARK(BM_ValidateBcast)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
+BENCHMARK(BM_ValidateBcast)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 18);
 
 void BM_GenFibKIndex(benchmark::State& state) {
   const auto k = static_cast<std::uint64_t>(state.range(0));
@@ -338,12 +338,24 @@ void emit_micro_record() {
                       warm.schedule.events() == cold.schedule.events() &&
                       warm.trace.deliveries() == cold.trace.deliveries();
 
+  // Validator cost per event on one BCAST schedule at n = 2^18 (the size
+  // of perfbench's bcast_sim op), after one warm-up validation.
+  const PostalParams val_params(std::uint64_t{1} << 18, Rational(5, 2));
+  const Schedule val_schedule = bcast_schedule(val_params);
+  const bool val_ok = validate_schedule(val_schedule, val_params).ok;
+  const double validate_ns = time_ns_per_op(1, [&](std::uint64_t) {
+    benchmark::DoNotOptimize(validate_schedule(val_schedule, val_params));
+  });
+  const double validate_ns_per_event =
+      validate_ns / static_cast<double>(val_schedule.size());
+
   // Sanity gate: the stopwatch loops must have computed the same values
   // the benchmark loops do (racc = kOps * 5/2; both queues back at depth
-  // 256), and the warm ParMachine rerun must have proven the arena
-  // steady state. A desync here means the record is mis-measuring.
+  // 256), the warm ParMachine rerun must have proven the arena steady
+  // state, and the timed schedule must validate. A desync here means the
+  // record is mis-measuring.
   const bool ok = racc == rstep * Rational(static_cast<std::int64_t>(kOps)) &&
-                  heap.size() == 256 && bucket.size() == 256 && par_ok;
+                  heap.size() == 256 && bucket.size() == 256 && par_ok && val_ok;
 
   obs::BenchRecord rec;
   rec.bench = "bench_micro";
@@ -368,6 +380,7 @@ void emit_micro_record() {
       {"flush_fallback_sorts", std::to_string(warm_info.flush_fallback_sorts)},
       {"arena_growths_cold", std::to_string(arena_growths_cold)},
       {"arena_growths_warm", std::to_string(arena_growths_warm)},
+      {"validate_ns_per_event", fmt(validate_ns_per_event, 2)},
   };
   obs::emit_bench_record(rec);
 }

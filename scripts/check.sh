@@ -195,7 +195,7 @@ if [ "$PERF" -eq 1 ]; then
   done
   POSTAL_BENCH_JSON=build/PERF_records.json \
     build/bench/bench_micro \
-    --benchmark_filter='BM_Rational|BM_Tick|BM_EventQueue|BM_MailboxFlush|BM_MergeReplay' \
+    --benchmark_filter='BM_Rational|BM_Tick|BM_EventQueue|BM_MailboxFlush|BM_MergeReplay|BM_ValidateBcast' \
     > /dev/null
   python3 scripts/validate_bench_records.py build/PERF_records.json \
     --expect bench_tick_domain --expect bench_par_sweep \
@@ -209,6 +209,7 @@ if [ "$PERF" -eq 1 ]; then
   grep -q '"bench":"bench_micro".*"merge_replay_ms"' build/PERF_records.json
   grep -q '"bench":"bench_micro".*"arena_growths_warm":"0"' \
     build/PERF_records.json
+  grep -q '"bench":"bench_micro".*"validate_ns_per_event"' build/PERF_records.json
 fi
 
 if [ "$SOAK" -eq 1 ]; then

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
 
 #include "sched/bcast.hpp"
 #include "support/interval_set.hpp"
@@ -93,20 +92,20 @@ HeteroSimReport simulate_hetero(const Schedule& schedule, const HeteroLatency& l
   informed[0] = Rational(0);
 
   for (const SendEvent& e : events) {
-    std::ostringstream who;
-    who << "[" << e << "] ";
     if (e.src >= n || e.dst >= n) {
-      violate(who.str() + "processor id out of range");
+      violate(violation_prefix(e) + "processor id out of range");
       continue;
     }
     const auto& held = informed[e.src];
-    if (!held.has_value() || e.t < *held) violate(who.str() + "sender not informed yet");
+    if (!held.has_value() || e.t < *held) {
+      violate(violation_prefix(e) + "sender not informed yet");
+    }
     if (send_port[e.src].insert(e.t, e.t + Rational(1))) {
-      violate(who.str() + "send-port conflict");
+      violate(violation_prefix(e) + "send-port conflict");
     }
     const Rational arrive = e.t + lat.lambda(e.src, e.dst);
     if (recv_port[e.dst].insert(arrive - Rational(1), arrive)) {
-      violate(who.str() + "receive-port conflict");
+      violate(violation_prefix(e) + "receive-port conflict");
     }
     auto& dst = informed[e.dst];
     if (!dst.has_value() || arrive < *dst) dst = arrive;

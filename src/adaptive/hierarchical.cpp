@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
 
 #include "model/genfib.hpp"
 #include "sched/bcast.hpp"
@@ -86,22 +85,20 @@ HeteroReport simulate_two_level(const Schedule& schedule, const TwoLevelParams& 
   informed[0] = Rational(0);
 
   for (const SendEvent& e : events) {
-    std::ostringstream who;
-    who << "[" << e << "] ";
     if (e.src >= n || e.dst >= n) {
-      violate(who.str() + "processor id out of range");
+      violate(violation_prefix(e) + "processor id out of range");
       continue;
     }
     const auto& held = informed[e.src];
     if (!held.has_value() || e.t < *held) {
-      violate(who.str() + "sender not informed yet");
+      violate(violation_prefix(e) + "sender not informed yet");
     }
     if (send_port[e.src].insert(e.t, e.t + Rational(1))) {
-      violate(who.str() + "send-port conflict");
+      violate(violation_prefix(e) + "send-port conflict");
     }
     const Rational arrive = e.t + params.lambda(e.src, e.dst);
     if (recv_port[e.dst].insert(arrive - Rational(1), arrive)) {
-      violate(who.str() + "receive-port conflict");
+      violate(violation_prefix(e) + "receive-port conflict");
     }
     auto& dst_informed = informed[e.dst];
     if (!dst_informed.has_value() || arrive < *dst_informed) dst_informed = arrive;

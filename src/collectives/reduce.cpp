@@ -77,28 +77,26 @@ ReduceReport validate_reduce(const Schedule& schedule, const PostalParams& param
   };
 
   for (const SendEvent& e : events) {
-    std::ostringstream who;
-    who << "[" << e << "] ";
     if (e.src >= n || e.dst >= n) {
-      violate(who.str() + "processor id out of range");
+      violate(violation_prefix(e) + "processor id out of range");
       continue;
     }
     flush_until(e.t);
     if (e.src == 0) {
-      violate(who.str() + "the reduction root p0 must not send");
+      violate(violation_prefix(e) + "the reduction root p0 must not send");
       continue;
     }
     if (sent_at[e.src].has_value()) {
-      violate(who.str() + "processor sends its partial result twice");
+      violate(violation_prefix(e) + "processor sends its partial result twice");
       continue;
     }
     sent_at[e.src] = e.t;
     if (auto clash = send_port[e.src].insert(e.t, e.t + Rational(1))) {
-      violate(who.str() + "send-port conflict");
+      violate(violation_prefix(e) + "send-port conflict");
     }
     const Rational arrive = e.t + lambda;
     if (auto clash = recv_port[e.dst].insert(arrive - Rational(1), arrive)) {
-      violate(who.str() + "receive-port conflict");
+      violate(violation_prefix(e) + "receive-port conflict");
     }
     pending.push_back(PendingArrival{arrive, e.dst, contributions[e.src]});
     report.completion = rmax(report.completion, arrive);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <queue>
-#include <sstream>
 
 #include "support/interval_set.hpp"
 
@@ -126,14 +125,14 @@ KPortedReport validate_kported(const Schedule& schedule, const PostalParams& par
   informed[0] = Rational(0);
 
   for (const SendEvent& e : events) {
-    std::ostringstream who;
-    who << "[" << e << "] ";
     if (e.src >= n || e.dst >= n) {
-      violate(who.str() + "processor id out of range");
+      violate(violation_prefix(e) + "processor id out of range");
       continue;
     }
     const auto& held = informed[e.src];
-    if (!held.has_value() || e.t < *held) violate(who.str() + "sender not informed");
+    if (!held.has_value() || e.t < *held) {
+      violate(violation_prefix(e) + "sender not informed");
+    }
     // k-port rule: at most k send windows [t, t+1) may overlap. Since
     // events come in time order, count earlier sends still open at e.t.
     auto& mine = send_times[e.src];
@@ -145,11 +144,11 @@ KPortedReport validate_kported(const Schedule& schedule, const PostalParams& par
         break;  // times are nondecreasing; older windows are closed
       }
     }
-    if (open >= k) violate(who.str() + "more than k overlapping sends");
+    if (open >= k) violate(violation_prefix(e) + "more than k overlapping sends");
     mine.push_back(e.t);
     const Rational arrive = e.t + lambda;
     if (recv_port[e.dst].insert(arrive - Rational(1), arrive)) {
-      violate(who.str() + "receive-port conflict");
+      violate(violation_prefix(e) + "receive-port conflict");
     }
     auto& dst = informed[e.dst];
     if (!dst.has_value() || arrive < *dst) dst = arrive;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
 
 #include "sched/bcast.hpp"
 #include "support/interval_set.hpp"
@@ -32,22 +31,20 @@ LogPReport validate_logp_schedule(const Schedule& schedule, const LogPParams& pa
   usable[0] = Rational(0);
 
   for (const SendEvent& e : events) {
-    std::ostringstream who;
-    who << "[" << e << "] ";
     if (e.src >= n || e.dst >= n) {
-      violate(who.str() + "processor id out of range");
+      violate(violation_prefix(e) + "processor id out of range");
       continue;
     }
     const auto& held = usable[e.src];
     if (!held.has_value() || e.t < *held) {
-      violate(who.str() + "submitting a message that is not yet usable");
+      violate(violation_prefix(e) + "submitting a message that is not yet usable");
     }
     if (submit_port[e.src].insert(e.t, e.t + gap)) {
-      violate(who.str() + "submissions closer than max(o, g)");
+      violate(violation_prefix(e) + "submissions closer than max(o, g)");
     }
     const Rational usable_at = e.t + usable_after;
     if (absorb_port[e.dst].insert(usable_at - gap, usable_at)) {
-      violate(who.str() + "absorptions closer than max(o, g)");
+      violate(violation_prefix(e) + "absorptions closer than max(o, g)");
     }
     auto& dst = usable[e.dst];
     if (!dst.has_value() || usable_at < *dst) dst = usable_at;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <sstream>
 #include <tuple>
 
 #include "support/error.hpp"
@@ -11,6 +12,12 @@ namespace postal {
 std::ostream& operator<<(std::ostream& os, const SendEvent& e) {
   return os << "p" << e.src << " -> p" << e.dst << " : M" << (e.msg + 1)
             << " @ t=" << e.t;
+}
+
+std::string violation_prefix(const SendEvent& e) {
+  std::ostringstream oss;
+  oss << "[" << e << "] ";
+  return oss.str();
 }
 
 void Schedule::add(ProcId src, ProcId dst, MsgId msg, Rational t) {

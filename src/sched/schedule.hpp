@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "model/params.hpp"
@@ -30,6 +31,10 @@ struct SendEvent {
 };
 
 std::ostream& operator<<(std::ostream& os, const SendEvent& e);
+
+/// "[<event>] ": the prefix of every violation a checker reports against
+/// one event. Checkers build it only when a clause fires.
+[[nodiscard]] std::string violation_prefix(const SendEvent& e);
 
 /// An ordered collection of send events plus bookkeeping helpers.
 class Schedule {

@@ -48,6 +48,10 @@ class Trace {
   /// Record one delivery (under kCounters: counters/first-arrival only).
   void record(const Delivery& d);
 
+  /// kFull: make room for `count` deliveries so recording them never
+  /// regrows the list; a no-op under kCounters.
+  void reserve(std::size_t count);
+
   [[nodiscard]] std::uint64_t n() const noexcept { return n_; }
   [[nodiscard]] std::uint32_t messages() const noexcept { return messages_; }
   [[nodiscard]] TraceMode mode() const noexcept { return mode_; }

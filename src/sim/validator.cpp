@@ -4,8 +4,6 @@
 #include <optional>
 #include <sstream>
 
-#include "support/interval_set.hpp"
-
 namespace postal {
 
 std::string SimReport::summary() const {
@@ -21,14 +19,13 @@ namespace {
 // The validation loop is written once, generic over the time
 // representation (docs/PERFORMANCE.md). Two policies instantiate it:
 //
-//   RationalOps -- the historical reference: Rational times, IntervalSet
-//                  ports, checked arithmetic everywhere.
+//   RationalOps -- the historical reference: Rational times, checked
+//                  arithmetic everywhere.
 //   TickOps     -- int64 ticks at resolution 1/q: plain integer adds and
-//                  compares, TickIntervalSet ports. Chosen by a static
-//                  probe (below) only when every input time is exactly
-//                  representable and a 128-bit bound proves no tick
-//                  expression can overflow, so the loop needs no per-op
-//                  checks and cannot invoke UB.
+//                  compares. Chosen by a static probe (below) only when
+//                  every input time is exactly representable and a 128-bit
+//                  bound proves no tick expression can overflow, so the
+//                  loop needs no per-op checks and cannot invoke UB.
 //
 // Exactness: tick <-> Rational is an order-preserving bijection on the
 // admitted inputs, so both instantiations take identical branches, record
@@ -37,7 +34,6 @@ namespace {
 
 struct RationalOps {
   using Time = Rational;
-  using Ports = IntervalSet;
   Rational lambda;
   Rational one{1};
 
@@ -50,7 +46,6 @@ struct RationalOps {
 
 struct TickOps {
   using Time = Tick;
-  using Ports = TickIntervalSet;
   TickDomain dom;
   Tick lambda = 0;
   Tick one = 0;
@@ -74,8 +69,28 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
     report.violations.push_back(text);
   };
 
-  std::vector<typename Ops::Ports> send_port(n);
-  std::vector<typename Ops::Ports> recv_port(n);
+  // Port exclusivity keeps one window per port: the end of the last window
+  // the port accepted. This is exact, not a heuristic. Events are visited
+  // in nondecreasing send time and lambda is constant, so the windows
+  // offered to one port -- [t, t+1) on a send port, [t+lambda-1, t+lambda)
+  // on a strict receive port -- arrive in nondecreasing start. Every window
+  // has unit length and accepted windows are disjoint, so each earlier
+  // accepted window ends at or before the last one starts: a new window
+  // overlaps some accepted window iff it starts before the last one ends,
+  // and the last one is then the clash to quote.
+  std::vector<std::optional<Time>> send_end(n);
+  std::vector<std::optional<Time>> recv_end(n);
+  auto claim = [&ops](std::optional<Time>& end, const Time& lo) {
+    if (end.has_value() && lo < *end) return false;
+    end = lo + ops.one;
+    return true;
+  };
+  auto busy = [&ops, &violate](const SendEvent& e, const char* port, ProcId p,
+                               const Time& end) {
+    violate(violation_prefix(e) + port + " port of p" + std::to_string(p) +
+            " already busy on [" + ops.rat(end - ops.one).str() + ", " +
+            ops.rat(end).str() + ")");
+  };
   std::vector<Time> recv_free(options.fifo_receive ? n : 0, Time{});
   // holds[p * messages + msg]: earliest time p holds msg (origin: 0).
   std::vector<std::optional<Time>> holds(n * messages);
@@ -95,40 +110,36 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
     }
   }
 
+  // Arrivals repeat across many events; convert each distinct one once.
+  std::optional<Time> arrive_cached;
+  Rational arrive_rat;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const SendEvent& e = events[i];
-    std::ostringstream who;
-    who << "[" << e << "] ";
     if (e.src >= n || e.dst >= n) {
-      violate(who.str() + "processor id out of range");
+      violate(violation_prefix(e) + "processor id out of range");
       continue;
     }
     if (e.msg >= messages) {
-      violate(who.str() + "message id out of range");
+      violate(violation_prefix(e) + "message id out of range");
       continue;
     }
     const Time t = ops.event_time(e, i);
     // A dead processor cannot transmit: such an event proves the schedule
     // was not produced under the declared crashes.
     if (crash[e.src].has_value() && t >= *crash[e.src]) {
-      violate(who.str() + "p" + std::to_string(e.src) + " crashed at t=" +
+      violate(violation_prefix(e) + "p" + std::to_string(e.src) + " crashed at t=" +
               ops.rat(*crash[e.src]).str() + " but sends afterwards");
       continue;
     }
     // Causality: the sender must hold the message when the send starts.
     const auto& held = holds[e.src * messages + e.msg];
     if (!held.has_value() || t < *held) {
-      violate(who.str() + "sender does not hold the message yet" +
+      violate(violation_prefix(e) + "sender does not hold the message yet" +
               (held.has_value() ? " (holds it only from t=" + ops.rat(*held).str() + ")"
                                 : ""));
     }
     // Send-port exclusivity: [t, t+1).
-    if (auto clash = send_port[e.src].insert(t, t + ops.one)) {
-      std::ostringstream oss;
-      oss << who.str() << "send port of p" << e.src << " already busy on ["
-          << ops.rat(clash->lo) << ", " << ops.rat(clash->hi) << ")";
-      violate(oss.str());
-    }
+    if (!claim(send_end[e.src], t)) busy(e, "send", e.src, *send_end[e.src]);
     // Receive port. Strict mode: exclusivity of [t+lambda-1, t+lambda),
     // overlap is a violation. FIFO mode: simultaneous arrivals serialize in
     // nominal-arrival order (the Machine's input-port queueing), so overlap
@@ -143,19 +154,18 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
       voided = crash[e.dst].has_value() && arrive >= *crash[e.dst];
     } else {
       voided = crash[e.dst].has_value() && arrive >= *crash[e.dst];
-      if (!voided) {
-        if (auto clash = recv_port[e.dst].insert(arrive - ops.one, arrive)) {
-          std::ostringstream oss;
-          oss << who.str() << "receive port of p" << e.dst << " already busy on ["
-              << ops.rat(clash->lo) << ", " << ops.rat(clash->hi) << ")";
-          violate(oss.str());
-        }
+      if (!voided && !claim(recv_end[e.dst], arrive - ops.one)) {
+        busy(e, "receive", e.dst, *recv_end[e.dst]);
       }
     }
     if (voided) continue;
     auto& dst_holds = holds[e.dst * messages + e.msg];
     if (!dst_holds.has_value() || arrive < *dst_holds) dst_holds = arrive;
-    report.trace.record(Delivery{e.src, e.dst, e.msg, e.t, ops.rat(arrive)});
+    if (arrive_cached != arrive) {
+      arrive_cached = arrive;
+      arrive_rat = ops.rat(arrive);
+    }
+    report.trace.record(Delivery{e.src, e.dst, e.msg, e.t, arrive_rat});
   }
 
   if (options.require_coverage) {
@@ -222,8 +232,13 @@ std::optional<TickPlan> probe_ticks(
     q = *folded;
     return true;
   };
-  for (const SendEvent& e : events) {
-    if (!fold(e.t)) return std::nullopt;
+  // Schedules repeat each send time many times: fold and convert a time
+  // only when it differs from the previous event's.
+  const auto repeats = [&events](std::size_t i) {
+    return i > 0 && events[i].t == events[i - 1].t;
+  };
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (!repeats(i) && !fold(events[i].t)) return std::nullopt;
   }
   for (const auto& c : crash_times) {
     if (c.has_value() && !fold(*c)) return std::nullopt;
@@ -236,8 +251,12 @@ std::optional<TickPlan> probe_ticks(
   TickPlan plan{TickOps{dom, *lambda_ticks, q, nullptr}, {}, {}};
   plan.event_ticks.reserve(events.size());
   Tick max_abs = 0;
-  for (const SendEvent& e : events) {
-    const std::optional<Tick> t = dom.to_ticks(e.t);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (repeats(i)) {
+      plan.event_ticks.push_back(plan.event_ticks.back());
+      continue;
+    }
+    const std::optional<Tick> t = dom.to_ticks(events[i].t);
     if (!t.has_value()) return std::nullopt;
     plan.event_ticks.push_back(*t);
     max_abs = std::max(max_abs, *t < 0 ? (*t == INT64_MIN ? INT64_MAX : -*t) : *t);
@@ -282,31 +301,32 @@ SimReport validate_schedule(const Schedule& schedule, const PostalParams& params
     if (!slot.has_value() || c.time < *slot) slot = c.time;
   }
 
-  // Sort events by send time so causality state (arrival times) is always
-  // known before any later send is examined: an arrival enabling a send at
-  // t happened at a send that started at t - lambda < t. Because lambda is
-  // a constant, this order is simultaneously nominal-arrival order, which
-  // is what the fifo_receive serialization below iterates in. The sort is
-  // shared by both time paths, so their event order is identical by
-  // construction.
-  std::vector<SendEvent> events = schedule.events();
-  std::stable_sort(events.begin(), events.end(),
-                   [](const SendEvent& a, const SendEvent& b) { return a.t < b.t; });
-
-  if (options.time_path == TimePath::kAuto) {
-    if (std::optional<TickPlan> plan = probe_ticks(events, lambda, crash)) {
-      plan->ops.event_ticks = &plan->event_ticks;
-      validate_events(plan->ops, events, n, messages, options, plan->crash, report);
-      report.tick_domain = true;
-      report.makespan = report.trace.makespan();
-      report.order_preserving = report.trace.order_preserving();
-      report.ok = report.violations.empty();
-      return report;
-    }
+  // Visit events in send-time order so causality state (arrival times) is
+  // always known before any later send is examined: an arrival enabling a
+  // send at t happened at a send that started at t - lambda < t. Because
+  // lambda is a constant, this order is simultaneously nominal-arrival
+  // order, which the port and fifo_receive bookkeeping below rely on. Both
+  // time paths share it. Machine, ParMachine and the generators emit
+  // time-sorted schedules; only an unsorted one pays for a stable sort.
+  const auto by_time = [](const SendEvent& a, const SendEvent& b) { return a.t < b.t; };
+  std::vector<SendEvent> sorted;
+  if (!std::is_sorted(schedule.events().begin(), schedule.events().end(), by_time)) {
+    sorted = schedule.events();
+    std::stable_sort(sorted.begin(), sorted.end(), by_time);
   }
+  const std::vector<SendEvent>& events = sorted.empty() ? schedule.events() : sorted;
+  report.trace.reserve(events.size());
 
-  validate_events(RationalOps{lambda, Rational(1)}, events, n, messages, options,
-                  crash, report);
+  std::optional<TickPlan> plan;
+  if (options.time_path == TimePath::kAuto) plan = probe_ticks(events, lambda, crash);
+  if (plan.has_value()) {
+    plan->ops.event_ticks = &plan->event_ticks;
+    validate_events(plan->ops, events, n, messages, options, plan->crash, report);
+    report.tick_domain = true;
+  } else {
+    validate_events(RationalOps{lambda, Rational(1)}, events, n, messages, options,
+                    crash, report);
+  }
   report.makespan = report.trace.makespan();
   report.order_preserving = report.trace.order_preserving();
   report.ok = report.violations.empty();

@@ -2,8 +2,7 @@
 
 namespace postal {
 
-template <typename T>
-auto BasicIntervalSet<T>::find_overlap(const T& lo, const T& hi) const
+auto IntervalSet::find_overlap(const Rational& lo, const Rational& hi) const
     -> std::optional<Interval> {
   POSTAL_REQUIRE(lo < hi, "IntervalSet: interval must be nonempty (lo < hi)");
   // Candidate 1: the first interval starting at or after lo; overlaps iff it
@@ -23,29 +22,26 @@ auto BasicIntervalSet<T>::find_overlap(const T& lo, const T& hi) const
   return std::nullopt;
 }
 
-template <typename T>
-auto BasicIntervalSet<T>::insert(const T& lo, const T& hi) -> std::optional<Interval> {
+auto IntervalSet::insert(const Rational& lo, const Rational& hi)
+    -> std::optional<Interval> {
   if (auto hit = find_overlap(lo, hi)) return hit;
   by_lo_.emplace(lo, hi);
   return std::nullopt;
 }
 
-template <typename T>
-bool BasicIntervalSet<T>::overlaps(const T& lo, const T& hi) const {
+bool IntervalSet::overlaps(const Rational& lo, const Rational& hi) const {
   return find_overlap(lo, hi).has_value();
 }
 
-template <typename T>
-T BasicIntervalSet<T>::total_length() const {
-  T sum{};
+Rational IntervalSet::total_length() const {
+  Rational sum{};
   for (const auto& [lo, hi] : by_lo_) sum += hi - lo;
   return sum;
 }
 
-template <typename T>
-T BasicIntervalSet<T>::earliest_fit(const T& from, const T& len) const {
-  POSTAL_REQUIRE(T{} < len, "IntervalSet::earliest_fit: length must be positive");
-  T start = from;
+Rational IntervalSet::earliest_fit(const Rational& from, const Rational& len) const {
+  POSTAL_REQUIRE(Rational{} < len, "IntervalSet::earliest_fit: length must be positive");
+  Rational start = from;
   // Walk intervals in order; each conflict pushes the start to the end of
   // the conflicting interval. Intervals are disjoint and sorted, so one
   // forward pass suffices.
@@ -56,8 +52,5 @@ T BasicIntervalSet<T>::earliest_fit(const T& from, const T& len) const {
   }
   return start;
 }
-
-template class BasicIntervalSet<Rational>;
-template class BasicIntervalSet<std::int64_t>;
 
 }  // namespace postal
