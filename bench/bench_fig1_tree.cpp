@@ -46,9 +46,12 @@ int main() {
     std::string kids;
     for (const ProcId c : tree.children(p)) {
       if (!kids.empty()) kids += ",";
-      kids += "p" + std::to_string(c);
+      kids += "p";
+      kids += std::to_string(c);
     }
-    table.add_row({"p" + std::to_string(p), informed[p].str(),
+    // Appended, not "p" + ...: GCC 12 at -O3 reports a false
+    // -Werror=restrict inside operator+ on a temporary string.
+    table.add_row({std::string("p").append(std::to_string(p)), informed[p].str(),
                    std::to_string(depth[p]), kids.empty() ? "-" : kids});
   }
   table.print(std::cout);

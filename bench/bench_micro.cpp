@@ -377,6 +377,11 @@ void emit_micro_record() {
       {"queue_speedup", fmt(bucket_ns > 0 ? heap_ns / bucket_ns : 0, 2)},
       {"mailbox_flush_ms", fmt(warm_info.flush_ms, 3)},
       {"merge_replay_ms", fmt(warm_info.merge_ms, 3)},
+      {"merge_sequence_ms", fmt(warm_info.merge_sequence_ms, 3)},
+      {"merge_materialize_ms", fmt(warm_info.merge_materialize_ms, 3)},
+      {"setup_ms", fmt(warm_info.setup_ms, 3)},
+      {"assemble_ms", fmt(warm_info.assemble_ms, 3)},
+      {"assemble_fallback_sorts", std::to_string(warm_info.assemble_fallback_sorts)},
       {"flush_fallback_sorts", std::to_string(warm_info.flush_fallback_sorts)},
       {"arena_growths_cold", std::to_string(arena_growths_cold)},
       {"arena_growths_warm", std::to_string(arena_growths_warm)},

@@ -24,10 +24,14 @@
 // pays its barrier overhead with no parallel speedup to show for it. The
 // speedup guard lives in scripts/compare_trajectory.py, keyed off the
 // record's threads_hw so it only hard-fails on runners with >= 4
-// hardware threads. The window/merge/flush wall split is recorded per
-// section: merge_ms is the sequential barrier residue (slot assignment),
-// flush_ms the parallel mailbox merge -- together they bound the speedup
-// a multi-core box can reach (docs/PERFORMANCE.md).
+// hardware threads. The wall split of each sharded run is recorded per
+// section: setup_ms (admission, wiring, pool, trace), window_ms, merge_ms
+// (= merge_sequence_ms, the sequential slot assignment, + merge_materialize_ms,
+// the parallel payload writes), flush_ms (the parallel mailbox merge) and
+// assemble_ms (the end-of-run schedule assembly). The phases cover the
+// whole run() call, so accounted_pct -- their sum over par_ms -- reads
+// near 100; the sequential parts bound the speedup a multi-core box can
+// reach (docs/PERFORMANCE.md).
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -52,14 +56,25 @@ struct Section {
   TraceMode mode = TraceMode::kFull;
   double seq_ms = 0.0;
   double par_ms = 0.0;
+  double setup_ms = 0.0;
   double window_ms = 0.0;
   double merge_ms = 0.0;
+  double merge_sequence_ms = 0.0;
+  double merge_materialize_ms = 0.0;
   double flush_ms = 0.0;
+  double assemble_ms = 0.0;
   std::uint64_t windows = 0;
   std::uint32_t shards = 0;
   std::uint64_t arena_growths = 0;
   std::uint64_t flush_fallback_sorts = 0;
+  std::uint64_t assemble_fallback_sorts = 0;
   bool identical = false;
+
+  /// Share of par_ms the named phases account for, in percent.
+  [[nodiscard]] double accounted_pct() const {
+    const double phases = setup_ms + window_ms + merge_ms + flush_ms + assemble_ms;
+    return par_ms > 0.0 ? 100.0 * phases / par_ms : 0.0;
+  }
 };
 
 bool results_identical(const MachineResult& a, const MachineResult& b) {
@@ -128,13 +143,18 @@ Section run_sharded(const std::string& slug, const std::string& name,
   const MachineResult result = machine.run(factory);
   s.par_ms = clock.elapsed_ms();
   const ParRunInfo& info = machine.last_run_info();
+  s.setup_ms = info.setup_ms;
   s.window_ms = info.window_ms;
   s.merge_ms = info.merge_ms;
+  s.merge_sequence_ms = info.merge_sequence_ms;
+  s.merge_materialize_ms = info.merge_materialize_ms;
   s.flush_ms = info.flush_ms;
+  s.assemble_ms = info.assemble_ms;
   s.windows = info.windows;
   s.shards = info.shards;
   s.arena_growths = info.arena_growths;
   s.flush_fallback_sorts = info.flush_fallback_sorts;
+  s.assemble_fallback_sorts = info.assemble_fallback_sorts;
   s.identical = info.parallel_engine &&
                 (mode == TraceMode::kFull
                      ? results_identical(result, reference)
@@ -182,14 +202,17 @@ int main() {
 
   bool all_identical = true;
   TextTable table({"section", "seq ms", "par ms", "speedup",
-                   "window/merge/flush ms", "windows", "identical"});
+                   "setup/window/merge/flush/assemble ms", "accounted", "windows",
+                   "identical"});
   for (const Section& s : sections) {
     const double speedup = s.par_ms > 0.0 ? s.seq_ms / s.par_ms : 0.0;
     table.add_row({s.name, fmt(s.seq_ms, 1), fmt(s.par_ms, 1),
                    fmt(speedup, 2) + "x",
-                   fmt(s.window_ms, 1) + " / " + fmt(s.merge_ms, 1) + " / " +
-                       fmt(s.flush_ms, 1),
-                   std::to_string(s.windows), s.identical ? "yes" : "NO"});
+                   fmt(s.setup_ms, 1) + " / " + fmt(s.window_ms, 1) + " / " +
+                       fmt(s.merge_ms, 1) + " / " + fmt(s.flush_ms, 1) + " / " +
+                       fmt(s.assemble_ms, 1),
+                   fmt(s.accounted_pct(), 1) + "%", std::to_string(s.windows),
+                   s.identical ? "yes" : "NO"});
     all_identical = all_identical && s.identical;
   }
   table.print(std::cout);
@@ -211,9 +234,16 @@ int main() {
     rec.extra.emplace_back(
         s.slug + "_speedup",
         fmt(s.par_ms > 0.0 ? s.seq_ms / s.par_ms : 0.0, 2));
+    rec.extra.emplace_back(s.slug + "_setup_ms", fmt(s.setup_ms, 2));
     rec.extra.emplace_back(s.slug + "_window_ms", fmt(s.window_ms, 2));
     rec.extra.emplace_back(s.slug + "_merge_ms", fmt(s.merge_ms, 2));
+    rec.extra.emplace_back(s.slug + "_merge_sequence_ms",
+                           fmt(s.merge_sequence_ms, 2));
+    rec.extra.emplace_back(s.slug + "_merge_materialize_ms",
+                           fmt(s.merge_materialize_ms, 2));
     rec.extra.emplace_back(s.slug + "_flush_ms", fmt(s.flush_ms, 2));
+    rec.extra.emplace_back(s.slug + "_assemble_ms", fmt(s.assemble_ms, 2));
+    rec.extra.emplace_back(s.slug + "_accounted_pct", fmt(s.accounted_pct(), 1));
     rec.extra.emplace_back(s.slug + "_windows", std::to_string(s.windows));
     rec.extra.emplace_back(s.slug + "_shards", std::to_string(s.shards));
     rec.extra.emplace_back(s.slug + "_threads", std::to_string(s.threads));
@@ -221,6 +251,8 @@ int main() {
                            std::to_string(s.arena_growths));
     rec.extra.emplace_back(s.slug + "_flush_fallback_sorts",
                            std::to_string(s.flush_fallback_sorts));
+    rec.extra.emplace_back(s.slug + "_assemble_fallback_sorts",
+                           std::to_string(s.assemble_fallback_sorts));
     rec.extra.emplace_back(
         s.slug + "_trace_mode",
         s.mode == TraceMode::kCounters ? "counters" : "full");

@@ -75,8 +75,10 @@ int main(int argc, char** argv) {
   t1.add_row({"reliable_bcast (ack+repair)",
               std::to_string(reliable.uncovered_alive.size()),
               reliable.completion.str(),
-              "+" + reliable.recovery_overhead.str() + " vs f_lambda(n)=" +
-                  reliable.baseline.str()});
+              std::string("+")
+                  .append(reliable.recovery_overhead.str())
+                  .append(" vs f_lambda(n)=")
+                  .append(reliable.baseline.str())});
   t1.print(std::cout);
   std::cout << "reliable_bcast: " << reliable.counters.retransmissions
             << " retransmissions, " << reliable.counters.dead_declared

@@ -251,9 +251,13 @@ int cmd_simulate(std::uint64_t n, const Rational& lambda, unsigned threads,
     table.add_row({"barrier events", std::to_string(info.barrier_events)});
     table.add_row({"cross-shard events", std::to_string(info.cross_shard_events)});
     table.add_row({"replayed pops", std::to_string(info.replayed_pops)});
-    table.add_row({"window / merge / flush ms",
-                   fmt(info.window_ms, 2) + " / " + fmt(info.merge_ms, 2) +
-                       " / " + fmt(info.flush_ms, 2)});
+    table.add_row({"setup / window / merge / flush / assemble ms",
+                   fmt(info.setup_ms, 2) + " / " + fmt(info.window_ms, 2) + " / " +
+                       fmt(info.merge_ms, 2) + " / " + fmt(info.flush_ms, 2) +
+                       " / " + fmt(info.assemble_ms, 2)});
+    table.add_row({"merge: sequence / materialize ms",
+                   fmt(info.merge_sequence_ms, 2) + " / " +
+                       fmt(info.merge_materialize_ms, 2)});
   }
   table.add_row({"trace mode", trace_mode == TraceMode::kCounters
                                ? "counters (" +

@@ -17,11 +17,16 @@
 #                                build/chaos-artifacts (POSTAL_CHAOS_ARTIFACTS),
 #                                which the nightly CI job uploads.
 #   scripts/check.sh --perf      additionally regenerate the tick-domain
-#                                speedup records: E22 plus the
+#                                speedup records: E22, E24 and the
 #                                sweep-dominated benches with record
 #                                collection on, validated end to end; any
 #                                tick-vs-Rational disagreement is a hard
 #                                failure (docs/PERFORMANCE.md)
+#   scripts/check.sh --release   additionally compile the whole tree as
+#                                CMAKE_BUILD_TYPE=Release with warnings as
+#                                errors (build-release/, compile only):
+#                                -O3 inlining surfaces diagnostics the
+#                                default RelWithDebInfo build never sees
 #   scripts/check.sh --soak      additionally run the service long-soak: the
 #                                200+-scenario admission-queue invariant
 #                                sweep, then a 10^6-job open-loop run driven
@@ -46,6 +51,7 @@ CHAOS=0
 PERF=0
 SOAK=0
 FORMAT=0
+RELEASE=0
 for arg in "$@"; do
   case "$arg" in
     --sanitize) SANITIZE=1 ;;
@@ -53,7 +59,8 @@ for arg in "$@"; do
     --perf) PERF=1 ;;
     --soak) SOAK=1 ;;
     --format) FORMAT=1 ;;
-    *) echo "unknown argument: $arg (supported: --sanitize, --chaos, --perf, --soak, --format)" >&2; exit 2 ;;
+    --release) RELEASE=1 ;;
+    *) echo "unknown argument: $arg (supported: --sanitize, --chaos, --perf, --soak, --format, --release)" >&2; exit 2 ;;
   esac
 done
 
@@ -189,7 +196,7 @@ if [ "$PERF" -eq 1 ]; then
   echo "== perf: tick-domain speedup records"
   rm -f build/PERF_records.json
   for b in bench_tick_domain bench_par_sweep bench_bcast_optimality \
-           bench_theorem7_bounds bench_multimessage_shootout; do
+           bench_theorem7_bounds bench_multimessage_shootout bench_par_machine; do
     echo "== $b"
     POSTAL_BENCH_JSON=build/PERF_records.json "build/bench/$b" > /dev/null
   done
@@ -200,7 +207,8 @@ if [ "$PERF" -eq 1 ]; then
   python3 scripts/validate_bench_records.py build/PERF_records.json \
     --expect bench_tick_domain --expect bench_par_sweep \
     --expect bench_bcast_optimality --expect bench_theorem7_bounds \
-    --expect bench_multimessage_shootout --expect bench_micro
+    --expect bench_multimessage_shootout --expect bench_par_machine \
+    --expect bench_micro
   grep -q '"bench":"bench_tick_domain".*"verdict":"CONSISTENT"' \
     build/PERF_records.json
   # The bench_micro record must carry the ParMachine barrier sections and
@@ -210,6 +218,20 @@ if [ "$PERF" -eq 1 ]; then
   grep -q '"bench":"bench_micro".*"arena_growths_warm":"0"' \
     build/PERF_records.json
   grep -q '"bench":"bench_micro".*"validate_ns_per_event"' build/PERF_records.json
+  # Both ParMachine records must carry the full phase split, so the wall
+  # time of a sharded run is accounted for end to end (docs/PERFORMANCE.md).
+  grep -q '"bench":"bench_micro".*"assemble_ms"' build/PERF_records.json
+  grep -q '"bench":"bench_par_machine".*"bcast_1m_t4_assemble_ms"' \
+    build/PERF_records.json
+fi
+
+if [ "$RELEASE" -eq 1 ]; then
+  # Compile-only Release build with -Werror kept on: GCC's -O3 passes
+  # report warnings (e.g. -Wrestrict inside inlined std::string code) that
+  # the default build type never reaches.
+  echo "== release: compile-only build (-DCMAKE_BUILD_TYPE=Release, -Werror)"
+  cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release -DPOSTAL_WERROR=ON
+  cmake --build build-release
 fi
 
 if [ "$SOAK" -eq 1 ]; then
@@ -279,7 +301,7 @@ if [ "$SANITIZE" -eq 1 ]; then
   cmake --build build-asan --target test_differential test_validator_fuzz \
     test_par test_machine_faults test_reliable_bcast test_chaos \
     test_ticks test_event_queue test_tick_differential test_par_machine \
-    test_par_differential test_svc_workload test_svc_service \
+    test_par_differential test_tick_schedule test_svc_workload test_svc_service \
     test_svc_soak test_svc_percentile test_svc_chaos
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
@@ -292,6 +314,7 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-asan/tests/test_tick_differential
   ./build-asan/tests/test_par_machine
   ./build-asan/tests/test_par_differential
+  ./build-asan/tests/test_tick_schedule
   ./build-asan/tests/test_svc_workload
   ./build-asan/tests/test_svc_service
   ./build-asan/tests/test_svc_soak

@@ -112,7 +112,11 @@ HeteroSimReport simulate_hetero(const Schedule& schedule, const HeteroLatency& l
     report.completion = rmax(report.completion, arrive);
   }
   for (ProcId p = 0; p < n; ++p) {
-    if (!informed[p].has_value()) violate("p" + std::to_string(p) + " never informed");
+    if (!informed[p].has_value()) {
+      // Appended, not "p" + ...: GCC 12 at -O3 reports a false
+      // -Werror=restrict inside operator+ on a temporary string.
+      violate(std::string("p").append(std::to_string(p)).append(" never informed"));
+    }
   }
   report.ok = report.violations.empty();
   return report;

@@ -106,7 +106,9 @@ HeteroReport simulate_two_level(const Schedule& schedule, const TwoLevelParams& 
   }
   for (ProcId p = 0; p < n; ++p) {
     if (!informed[p].has_value()) {
-      violate("p" + std::to_string(p) + " never informed");
+      // Appended, not "p" + ...: GCC 12 at -O3 reports a false
+      // -Werror=restrict inside operator+ on a temporary string.
+      violate(std::string("p").append(std::to_string(p)).append(" never informed"));
     }
   }
   report.ok = report.violations.empty();

@@ -107,7 +107,10 @@ ReduceReport validate_reduce(const Schedule& schedule, const PostalParams& param
 
   for (ProcId p = 1; p < n; ++p) {
     if (!sent_at[p].has_value()) {
-      violate("p" + std::to_string(p) + " never sent its contribution");
+      // Appended, not "p" + ...: GCC 12 at -O3 reports a false
+      // -Werror=restrict inside operator+ on a temporary string.
+      violate(std::string("p").append(std::to_string(p)).append(
+          " never sent its contribution"));
     }
   }
   if (contributions[0] != n) {

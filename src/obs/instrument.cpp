@@ -55,6 +55,8 @@ void record_par_run(MetricsRegistry& registry, const ParRunInfo& info,
   registry.counter(prefix + ".merge_fault_events").add(info.merge_fault_events);
   registry.counter(prefix + ".flush_runs").add(info.flush_runs);
   registry.counter(prefix + ".flush_fallback_sorts").add(info.flush_fallback_sorts);
+  registry.counter(prefix + ".assemble_fallback_sorts")
+      .add(info.assemble_fallback_sorts);
   registry.counter(prefix + ".arena_growths").add(info.arena_growths);
   record_trace_mode(registry, info.trace_mode, prefix);
   for (std::size_t s = 0; s < info.shard.size(); ++s) {

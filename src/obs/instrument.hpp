@@ -41,14 +41,16 @@ void record_sim_report(MetricsRegistry& registry, const SimReport& report,
 ///   <prefix>.parallel_engine (gauge 0/1), .shards (gauge),
 ///   <prefix>.windows, .barrier_events, .cross_shard_events,
 ///   <prefix>.replayed_pops, .merge_deliveries, .merge_fault_events,
-///   <prefix>.flush_runs, .flush_fallback_sorts, .arena_growths  (counter)
+///   <prefix>.flush_runs, .flush_fallback_sorts,
+///   <prefix>.assemble_fallback_sorts, .arena_growths            (counter)
 ///   <prefix>.trace_mode (gauge: 0 = kFull, 1 = kCounters)
 ///   <prefix>.shard<s>.pops, .shard<s>.stalled_windows,
 ///   <prefix>.shard<s>.mailbox_in  per shard                     (counter)
 /// The stalled-window counters are the deterministic barrier-stall signal
 /// (docs/SIMULATION.md): a shard that popped nothing all window sat at the
-/// barrier for it. Wall-clock split (window_ms/merge_ms) is left out of
-/// the registry -- it varies run to run; read it off ParRunInfo directly.
+/// barrier for it. The wall-clock phases (setup_ms ... assemble_ms) are
+/// left out of the registry -- they vary run to run; read them off
+/// ParRunInfo directly.
 void record_par_run(MetricsRegistry& registry, const ParRunInfo& info,
                     const std::string& prefix = "par");
 

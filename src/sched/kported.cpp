@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <queue>
+#include <string>
 
 #include "support/interval_set.hpp"
 
@@ -155,7 +156,11 @@ KPortedReport validate_kported(const Schedule& schedule, const PostalParams& par
     report.completion = rmax(report.completion, arrive);
   }
   for (ProcId p = 0; p < n; ++p) {
-    if (!informed[p].has_value()) violate("p" + std::to_string(p) + " never informed");
+    if (!informed[p].has_value()) {
+      // Appended, not "p" + ...: GCC 12 at -O3 reports a false
+      // -Werror=restrict inside operator+ on a temporary string.
+      violate(std::string("p").append(std::to_string(p)).append(" never informed"));
+    }
   }
   report.ok = report.violations.empty();
   return report;

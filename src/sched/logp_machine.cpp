@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 
 #include "sched/bcast.hpp"
 #include "support/interval_set.hpp"
@@ -52,7 +53,9 @@ LogPReport validate_logp_schedule(const Schedule& schedule, const LogPParams& pa
   }
   for (ProcId p = 0; p < n; ++p) {
     if (!usable[p].has_value()) {
-      violate("p" + std::to_string(p) + " never informed");
+      // Appended, not "p" + ...: GCC 12 at -O3 reports a false
+      // -Werror=restrict inside operator+ on a temporary string.
+      violate(std::string("p").append(std::to_string(p)).append(" never informed"));
     }
   }
   report.ok = report.violations.empty();

@@ -46,6 +46,17 @@ void Schedule::sort() {
                    });
 }
 
+Schedule Schedule::adopt_sorted(std::vector<SendEvent> events) {
+  for (const SendEvent& e : events) {
+    POSTAL_REQUIRE(e.src != e.dst, "Schedule: a processor cannot send to itself");
+    // t >= 0 without a cross-multiplying compare: the denominator is positive.
+    POSTAL_REQUIRE(e.t.num() >= 0, "Schedule: send times must be >= 0");
+  }
+  Schedule schedule;
+  schedule.events_ = std::move(events);
+  return schedule;
+}
+
 Rational Schedule::last_send_start() const {
   Rational latest(0);
   for (const SendEvent& e : events_) latest = rmax(latest, e.t);

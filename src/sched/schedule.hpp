@@ -52,6 +52,11 @@ class Schedule {
   /// Stable-sort events by (t, src, dst, msg) for deterministic output.
   void sort();
 
+  /// A schedule over `events`, which the caller has already put in sort()'s
+  /// (t, src, dst, msg) order (the tick engines' assembly does). Checks
+  /// add()'s preconditions on every event; skips the sort.
+  [[nodiscard]] static Schedule adopt_sorted(std::vector<SendEvent> events);
+
   [[nodiscard]] const std::vector<SendEvent>& events() const noexcept { return events_; }
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
   [[nodiscard]] bool empty() const noexcept { return events_.empty(); }

@@ -163,7 +163,7 @@ void Machine::enqueue_send_ticks(ProcId src, ProcId dst, const Packet& packet,
   const std::uint64_t depth = static_cast<std::uint64_t>(
       (port_free_ticks_[src] - now + tick_q_ - 1) / tick_q_);
   if (depth > stats_.max_fifo_depth) stats_.max_fifo_depth = depth;
-  schedule_.add(src, dst, packet.msg, tick_rational(start));
+  tick_sends_.record(start, src, dst, packet.msg);
   Tick latency = lambda_ticks_;
   if (injector_ && injector_->has_spikes()) {
     Tick extra = 0;
@@ -289,6 +289,12 @@ void Machine::transplant_to_rational() {
     queue_.push_at_seq(std::move(p.time), p.seq, std::move(p.event));
   }
   parked_.clear();
+  // Sends recorded so far join the Rational schedule in append order; the
+  // end-of-run stable sort then orders the whole run as before.
+  for (const TickSend& e : tick_sends_.sends()) {
+    schedule_.add(e.src, e.dst, e.msg, tick_rational(e.tick));
+  }
+  tick_sends_.reset(0, 0);
   for (std::size_t p = 0; p < port_free_ticks_.size(); ++p) {
     port_free_[p] = tick_rational(port_free_ticks_[p]);
     recv_free_[p] = tick_rational(recv_free_ticks_[p]);
@@ -300,7 +306,8 @@ void Machine::fold_tick_port_busy() {
   for (std::size_t p = 0; p < port_busy_units_.size(); ++p) {
     if (port_busy_units_[p] == 0) continue;
     POSTAL_CHECK(port_busy_units_[p] <= static_cast<std::uint64_t>(INT64_MAX));
-    stats_.port_busy[p] += Rational(static_cast<std::int64_t>(port_busy_units_[p]));
+    // Assignment, not +=: a tick run accrues busy time only in the units.
+    stats_.port_busy[p] = Rational(static_cast<std::int64_t>(port_busy_units_[p]));
     port_busy_units_[p] = 0;
   }
 }
@@ -323,6 +330,8 @@ MachineResult Machine::run(Protocol& protocol, std::uint64_t max_events) {
     port_busy_units_.assign(n, 0);
     tick_queue_.clear();
     parked_.clear();
+    tick_sends_.reset(0, static_cast<ProcId>(n));
+    to_rational_.reset(tick_q_);
   }
   if (injector_) {
     injector_->reset();
@@ -388,12 +397,16 @@ MachineResult Machine::run(Protocol& protocol, std::uint64_t max_events) {
     }
   }
   if (tick_mode_) {
+    // Every send is still a tick record: assemble the schedule already
+    // sorted (sim/tick_schedule.hpp). A transplanted run sorts below.
     fold_tick_port_busy();
+    schedule_ = assemble_tick_schedule(tick_sends_, tick_q_);
     tick_mode_ = false;
+  } else {
+    schedule_.sort();
   }
 
   stats_.events_processed = delivered;
-  schedule_.sort();
   result.schedule = std::move(schedule_);
   result.stats = std::move(stats_);
   result.faults = std::move(fault_stats_);

@@ -50,6 +50,7 @@
 #include "sched/schedule.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/tick_queue.hpp"
+#include "sim/tick_schedule.hpp"
 #include "sim/tick_setup.hpp"
 #include "sim/trace.hpp"
 #include "support/ticks.hpp"
@@ -274,9 +275,7 @@ class Machine : private ContextSink {
     const auto& c = crash_ticks_[p];
     return c.has_value() && t >= *c;
   }
-  [[nodiscard]] Rational tick_rational(Tick t) const {
-    return Rational(t, tick_q_);
-  }
+  [[nodiscard]] Rational tick_rational(Tick t) { return to_rational_(t); }
 
   PostalParams params_;
   std::uint32_t messages_;
@@ -304,6 +303,8 @@ class Machine : private ContextSink {
   std::vector<Tick> port_free_ticks_;
   std::vector<Tick> recv_free_ticks_;
   std::vector<std::uint64_t> port_busy_units_;  ///< sends per port (exact units)
+  TickScheduleSlice tick_sends_;  ///< the run's sends until assembly or transplant
+  TickRationalMemo to_rational_;  ///< tick -> Rational at this run's 1/q
   std::vector<std::optional<Tick>> crash_ticks_;
   std::vector<SpikeTicks> spike_ticks_;
 };

@@ -61,6 +61,12 @@
 // high-water mark, steady-state windows allocate nothing;
 // ParRunInfo::arena_growths counts the capacity growths actually observed
 // so benches can prove it (bench_micro's warm-rerun section).
+//
+// Schedule assembly: a shard records its sends as integer tick records in
+// its own TickScheduleSlice. After the last window the lanes sort their
+// slices by (tick, src), a short sequential pass hands out output slots,
+// and the lanes write the SendEvents in parallel (sim/tick_schedule.hpp),
+// so the run's Schedule comes out sorted without a Rational sort.
 #include "sim/par_machine.hpp"
 
 #include <algorithm>
@@ -69,6 +75,7 @@
 #include <limits>
 
 #include "par/thread_pool.hpp"
+#include "sim/tick_schedule.hpp"
 #include "support/error.hpp"
 
 namespace postal {
@@ -79,6 +86,12 @@ namespace {
 /// pushes, bounded by max_events, far below 2^63).
 constexpr std::uint64_t kProvBase = std::uint64_t{1} << 63;
 constexpr Tick kNoTick = std::numeric_limits<Tick>::max();
+
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
 
 /// Widest tick span a sealed outbox run may cover and still use the
 /// counting-bucket sort. Normal windows span at most lambda ticks (every
@@ -162,7 +175,7 @@ class ParShard final : public ContextSink {
 
   // Run-cumulative accumulators, merged by ParMachine at the end.
   TickEventQueue<Ev> q;
-  std::vector<SendEvent> sends;  ///< this shard's schedule slice, append order
+  TickScheduleSlice sends;  ///< this shard's schedule slice (sim/tick_schedule.hpp)
   MachineStats stats;  ///< port_busy stays empty (folded from the units array)
   FaultStats faults;   ///< counters only; the timeline is built at replay
   std::uint64_t steps = 0;
@@ -170,6 +183,7 @@ class ParShard final : public ContextSink {
   std::uint64_t mailbox_in = 0;
   Tick max_delivery_tick = 0;  ///< kCounters: latest arrival on this shard
   std::uint64_t flush_fallback_sorts = 0;
+  std::uint64_t assemble_fallback_sorts = 0;
   std::uint64_t arena_growths = 0;
 
   // Window-local pop log and side streams (cleared after every barrier;
@@ -186,7 +200,8 @@ class ParShard final : public ContextSink {
   /// the shard count of the coming run (outbox runs are per destination).
   void prepare(std::uint32_t dests) {
     q.clear();
-    sends.clear();
+    sends.reset(lo, hi);
+    to_rational_.reset(tick_q);
     stats = MachineStats();
     stats.tick_domain = true;
     faults = FaultStats();
@@ -195,6 +210,7 @@ class ParShard final : public ContextSink {
     mailbox_in = 0;
     max_delivery_tick = 0;
     flush_fallback_sorts = 0;
+    assemble_fallback_sorts = 0;
     arena_growths = 0;
     outbox.resize(dests);
     caps_outbox_.resize(dests, 0);
@@ -261,9 +277,14 @@ class ParShard final : public ContextSink {
     prov_count = 0;
   }
 
-  [[nodiscard]] Rational tick_rational(Tick t) const {
-    return Rational(t, tick_q);
+  /// Sort this shard's schedule slice (end of run, on the shard's lane)
+  /// and count the arena growth of its scratch.
+  void sort_sends() {
+    if (sends.sort()) ++assemble_fallback_sorts;
+    arena_growths += sends.note_growths();
   }
+
+  [[nodiscard]] Rational tick_rational(Tick t) { return to_rational_(t); }
 
  private:
   // ContextSink: the tick-domain images of Machine::enqueue_send_ticks /
@@ -289,7 +310,7 @@ class ParShard final : public ContextSink {
     const std::uint64_t depth = static_cast<std::uint64_t>(
         (port_free[self] - now_ticks + tick_q - 1) / tick_q);
     if (depth > stats.max_fifo_depth) stats.max_fifo_depth = depth;
-    sends.push_back(SendEvent{self, dst, packet.msg, tick_rational(start)});
+    sends.record(start, self, dst, packet.msg);
     Tick latency = lambda_ticks;
     if (injector != nullptr && injector->has_spikes()) {
       Tick extra = 0;
@@ -475,6 +496,7 @@ class ParShard final : public ContextSink {
   }
 
   Tick window_end_ = 0;
+  TickRationalMemo to_rational_;
   PopEntry cur_{};
   std::vector<OutboxEntry> seal_scratch_;
   std::vector<std::uint32_t> seal_counts_;
@@ -659,6 +681,7 @@ struct ParMachine::Engine {
   std::vector<std::size_t> flush_head;
   std::vector<std::uint64_t> flush_in;     ///< per dest: entries flushed
   std::vector<std::uint64_t> flush_cross;  ///< per dest: from another shard
+  std::vector<TickScheduleSlice*> slices;  ///< the shards' schedule slices
   std::unique_ptr<par::ThreadPool> pool;
   unsigned pool_threads = 0;
 };
@@ -678,6 +701,7 @@ void ParMachine::attach_faults(const FaultPlan& plan) {
 
 MachineResult ParMachine::run(ShardProtocolFactory& factory,
                               std::uint64_t max_events) {
+  const Clock::time_point start = Clock::now();
   info_ = ParRunInfo();
   info_.trace_mode = trace_mode_;
   if (time_path_ == TimePath::kRational) {
@@ -689,7 +713,7 @@ MachineResult ParMachine::run(ShardProtocolFactory& factory,
     return run_sequential(factory, max_events, "tick-domain admission failed");
   }
   try {
-    return run_windowed(factory, *setup, max_events);
+    return run_windowed(factory, *setup, max_events, start);
   } catch (const ParFallbackError&) {
     info_ = ParRunInfo();
     info_.trace_mode = trace_mode_;
@@ -716,12 +740,8 @@ MachineResult ParMachine::run_sequential(ShardProtocolFactory& factory,
 
 MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
                                        const TickRunSetup& setup,
-                                       std::uint64_t max_events) {
-  using Clock = std::chrono::steady_clock;
-  const auto ms_since = [](Clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  };
-
+                                       std::uint64_t max_events,
+                                       std::chrono::steady_clock::time_point start) {
   const std::uint64_t n = params_.n();
   const std::uint64_t lanes = std::max<std::uint64_t>(
       1, std::min<std::uint64_t>(threads_, n == 0 ? 1 : n));
@@ -830,11 +850,13 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
     auto t0 = Clock::now();
     replay.sequence();
     replay.materialize_prepare();
+    info_.merge_sequence_ms += ms_since(t0);
+    t0 = Clock::now();
     if (replay.window_payloads() != 0) {
       pool.for_each(s_count,
                     [&replay](std::size_t s) { replay.materialize_shard(s); });
     }
-    info_.merge_ms += ms_since(t0);
+    info_.merge_materialize_ms += ms_since(t0);
     t0 = Clock::now();
     bool any_outbox = false;
     for (const ParShard& sh : shards) {
@@ -862,6 +884,8 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
       throw LogicError("ParMachine::run: exceeded max_events; runaway protocol?");
     }
   };
+
+  info_.setup_ms = ms_since(start);
 
   // Preamble: Machine's sequential on_start loop, as pseudo-pops merged in
   // rank order (stamp = rank, everything outboxed).
@@ -892,10 +916,21 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
     ++info_.windows;
   }
 
+  // Assembly: each lane sorts its own schedule slice, one sequential pass
+  // gives the slices' tick buckets their global slots, and each lane writes
+  // its SendEvents into one exactly-sized vector (sim/tick_schedule.hpp).
+  t0 = Clock::now();
+  pool.for_each(s_count, [&shards](std::size_t s) { shards[s].sort_sends(); });
+  eng.slices.clear();
+  for (ParShard& sh : shards) eng.slices.push_back(&sh.sends);
+  std::vector<SendEvent> events(assign_tick_slots(eng.slices));
+  pool.for_each(s_count, [&shards, &events, &setup](std::size_t s) {
+    shards[s].sends.emit(setup.q, events.data());
+  });
+  result.schedule = Schedule::adopt_sorted(std::move(events));
+
   // Merge run accumulators into the sequential result shape.
   result.stats.tick_domain = true;
-  result.stats.port_busy.assign(n, Rational(0));
-  Schedule schedule;
   for (ParShard& sh : shards) {
     result.stats.events_processed += sh.stats.events_processed;
     result.stats.sends_enqueued += sh.stats.sends_enqueued;
@@ -909,7 +944,6 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
     result.faults.drops_crash += sh.faults.drops_crash;
     result.faults.drops_loss += sh.faults.drops_loss;
     result.faults.spikes_applied += sh.faults.spikes_applied;
-    for (const SendEvent& e : sh.sends) schedule.add(e);
   }
   if (trace_mode_ == TraceMode::kCounters) {
     for (const ParShard& sh : shards) {
@@ -917,14 +951,13 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
                                  Rational(sh.max_delivery_tick, setup.q));
     }
   }
-  for (std::uint64_t p = 0; p < n; ++p) {
-    if (eng.port_busy_units[p] == 0) continue;
-    POSTAL_CHECK(eng.port_busy_units[p] <= static_cast<std::uint64_t>(INT64_MAX));
-    result.stats.port_busy[p] +=
-        Rational(static_cast<std::int64_t>(eng.port_busy_units[p]));
+  // Busy time is one unit per send: build each port's Rational straight
+  // from its integer count (no gcd, no Rational accumulation).
+  result.stats.port_busy.reserve(n);
+  for (const std::uint64_t units : eng.port_busy_units) {
+    POSTAL_CHECK(units <= static_cast<std::uint64_t>(INT64_MAX));
+    result.stats.port_busy.emplace_back(static_cast<std::int64_t>(units));
   }
-  schedule.sort();
-  result.schedule = std::move(schedule);
 
   info_.parallel_engine = true;
   info_.shards = s_count;
@@ -937,9 +970,12 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
     info_.shard[s].stalled_windows = shards[s].stalled_windows;
     info_.shard[s].mailbox_in = shards[s].mailbox_in;
     info_.flush_fallback_sorts += shards[s].flush_fallback_sorts;
+    info_.assemble_fallback_sorts += shards[s].assemble_fallback_sorts;
     info_.arena_growths += shards[s].arena_growths;
     factory.reclaim(s, std::move(shards[s].protocol));
   }
+  info_.merge_ms = info_.merge_sequence_ms + info_.merge_materialize_ms;
+  info_.assemble_ms = ms_since(t0);
   return result;
 }
 

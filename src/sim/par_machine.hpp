@@ -31,6 +31,7 @@
 // reported in last_run_info().
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -128,14 +129,28 @@ struct ParRunInfo {
   /// back to a comparison sort (preamble backlog, extreme spikes).
   std::uint64_t flush_runs = 0;
   std::uint64_t flush_fallback_sorts = 0;
+  /// Shard schedule slices whose tick span exceeded kTickSpanCap at the
+  /// end-of-run assembly and sorted by comparison on the integer key
+  /// (sim/tick_schedule.hpp).
+  std::uint64_t assemble_fallback_sorts = 0;
   /// Window-buffer capacity growths observed across the run. Buffers are
   /// retained across windows *and* across run() calls on one ParMachine,
   /// so a warm rerun reports 0 here: the steady state allocates nothing
   /// per window (bench_micro proves it).
   std::uint64_t arena_growths = 0;
-  double window_ms = 0.0;             ///< wall time in parallel windows (drain + seal)
-  double merge_ms = 0.0;              ///< wall time in barrier merge-replay
-  double flush_ms = 0.0;              ///< wall time flushing mailboxes to shard queues
+  // Wall-clock phases of a sharded run() (all 0 on a sequential fallback).
+  // Together they cover the whole call, so a phase split of an outside
+  // timer leaves nothing unattributed.
+  double setup_ms = 0.0;   ///< admission, shard wiring, pool, trace, protocols
+  double window_ms = 0.0;  ///< wall time in parallel windows (drain + seal)
+  /// Wall time in barrier merge-replay: merge_sequence_ms (the sequential
+  /// slot assignment and output growth) + merge_materialize_ms (the
+  /// parallel payload writes).
+  double merge_ms = 0.0;
+  double merge_sequence_ms = 0.0;
+  double merge_materialize_ms = 0.0;
+  double flush_ms = 0.0;     ///< wall time flushing mailboxes to shard queues
+  double assemble_ms = 0.0;  ///< schedule assembly, stats fold, protocol reclaim
   TraceMode trace_mode = TraceMode::kFull;  ///< retention mode of the run
   std::vector<ParShardInfo> shard;    ///< sized `shards` when parallel
 };
@@ -190,7 +205,8 @@ class ParMachine {
 
  private:
   MachineResult run_windowed(ShardProtocolFactory& factory,
-                             const TickRunSetup& setup, std::uint64_t max_events);
+                             const TickRunSetup& setup, std::uint64_t max_events,
+                             std::chrono::steady_clock::time_point start);
   MachineResult run_sequential(ShardProtocolFactory& factory,
                                std::uint64_t max_events, std::string reason);
 

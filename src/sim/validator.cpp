@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <sstream>
+#include <string>
 
 namespace postal {
 
@@ -15,6 +16,16 @@ std::string SimReport::summary() const {
 }
 
 namespace {
+
+/// "p<p><what>[<number>]", built by appending: GCC 12 at -O3 reports a
+/// false -Werror=restrict inside std::string operator+ on a temporary.
+std::string proc_text(ProcId p, const char* what, std::optional<MsgId> number = {}) {
+  std::string text = "p";
+  text += std::to_string(p);
+  text += what;
+  if (number.has_value()) text += std::to_string(*number);
+  return text;
+}
 
 // The validation loop is written once, generic over the time
 // representation (docs/PERFORMANCE.md). Two policies instantiate it:
@@ -178,8 +189,7 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
             options.origins.empty() ? options.origin : options.origins[msg];
         if (p == msg_origin || is_crashed(p)) continue;
         if (!holds[p * messages + msg].has_value()) {
-          violate("p" + std::to_string(p) + " never received required M" +
-                  std::to_string(msg + 1));
+          violate(proc_text(p, " never received required M", msg + 1));
         }
       }
     } else if (!options.origins.empty()) {
@@ -189,15 +199,14 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
         for (MsgId msg = 0; msg < messages; ++msg) {
           if (p == options.origins[msg]) continue;
           if (!holds[p * messages + msg].has_value()) {
-            violate("p" + std::to_string(p) + " never received M" +
-                    std::to_string(msg + 1));
+            violate(proc_text(p, " never received M", msg + 1));
           }
         }
       }
     } else {
       for (const ProcId p : report.trace.uncovered(options.origin)) {
         if (is_crashed(p)) continue;
-        violate("p" + std::to_string(p) + " never received all messages");
+        violate(proc_text(p, " never received all messages"));
       }
       if (messages == 0 && n > 1) {
         bool all_crashed = true;

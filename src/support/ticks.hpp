@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "support/rational.hpp"
@@ -71,6 +72,33 @@ class TickDomain {
 
  private:
   std::int64_t q_;
+};
+
+/// Tick -> Rational at resolution 1/q, remembering the last tick it
+/// converted. An event loop converts the same tick many times in a row
+/// (every handler running at one tick), and each fresh conversion pays
+/// Rational's gcd normalization. Returns by value: one expression may
+/// convert two different ticks.
+class TickRationalMemo {
+ public:
+  /// Start a run at resolution 1/q; forgets the remembered tick.
+  void reset(std::int64_t q) noexcept {
+    q_ = q;
+    tick_ = std::numeric_limits<Tick>::min();
+  }
+
+  [[nodiscard]] Rational operator()(Tick t) {
+    if (t != tick_) {
+      tick_ = t;
+      value_ = Rational(t, q_);
+    }
+    return value_;
+  }
+
+ private:
+  std::int64_t q_ = 1;
+  Tick tick_ = std::numeric_limits<Tick>::min();
+  Rational value_;
 };
 
 }  // namespace postal

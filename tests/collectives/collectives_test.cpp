@@ -47,9 +47,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::uint64_t, Rational>{64, Rational(1)},
                       std::pair<std::uint64_t, Rational>{40, Rational(17, 4)}),
     [](const auto& pinfo) {
-      return "n" + std::to_string(pinfo.param.first) + "_lam" +
-             std::to_string(pinfo.param.second.num()) + "_" +
-             std::to_string(pinfo.param.second.den());
+      return test::cat("n", std::to_string(pinfo.param.first), "_lam",
+                       std::to_string(pinfo.param.second.num()), "_",
+                       std::to_string(pinfo.param.second.den()));
     });
 
 TEST(Scatter, SingleProcessorDegenerate) {
@@ -129,9 +129,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::uint64_t, Rational>{12, Rational(4)},
                       std::pair<std::uint64_t, Rational>{9, Rational(7, 3)}),
     [](const auto& pinfo) {
-      return "n" + std::to_string(pinfo.param.first) + "_lam" +
-             std::to_string(pinfo.param.second.num()) + "_" +
-             std::to_string(pinfo.param.second.den());
+      return test::cat("n", std::to_string(pinfo.param.first), "_lam",
+                       std::to_string(pinfo.param.second.num()), "_",
+                       std::to_string(pinfo.param.second.den()));
     });
 
 TEST(Allgather, DirectBeatsRingExactlyWhenLatencyAboveOne) {

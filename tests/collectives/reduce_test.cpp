@@ -36,9 +36,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::uint64_t, Rational>{33, Rational(9, 4)},
                       std::pair<std::uint64_t, Rational>{7, Rational(10)}),
     [](const auto& pinfo) {
-      return "n" + std::to_string(pinfo.param.first) + "_lam" +
-             std::to_string(pinfo.param.second.num()) + "_" +
-             std::to_string(pinfo.param.second.den());
+      return test::cat("n", std::to_string(pinfo.param.first), "_lam",
+                       std::to_string(pinfo.param.second.num()), "_",
+                       std::to_string(pinfo.param.second.den()));
     });
 
 TEST(Reduce, SingleProcessorEmpty) {

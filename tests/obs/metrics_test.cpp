@@ -81,7 +81,7 @@ TEST(Metrics, NameCannotChangeKind) {
 TEST(Metrics, ReferencesStayValidAcrossInserts) {
   MetricsRegistry reg;
   obs::Counter& first = reg.counter("a");
-  for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) reg.counter(test::cat("c", std::to_string(i)));
   first.add(5);
   EXPECT_EQ(reg.counter("a").value(), 5u);
 }

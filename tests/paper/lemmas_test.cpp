@@ -19,6 +19,7 @@
 #include "sched/dtree.hpp"
 #include "sched/registry.hpp"
 #include "sim/validator.hpp"
+#include "test_util.hpp"
 
 namespace postal {
 namespace {
@@ -70,10 +71,11 @@ TEST_P(PaperGrid, EveryAlgorithmValidOrderPreservingExactAndAboveLemma8) {
 
 INSTANTIATE_TEST_SUITE_P(DenseGrid, PaperGrid, ::testing::ValuesIn(dense_grid()),
                          [](const ::testing::TestParamInfo<GridCase>& pinfo) {
-                           return "n" + std::to_string(pinfo.param.n) + "_m" +
-                                  std::to_string(pinfo.param.m) + "_lam" +
-                                  std::to_string(pinfo.param.lambda.num()) + "_" +
-                                  std::to_string(pinfo.param.lambda.den());
+                           return test::cat(
+                               "n", std::to_string(pinfo.param.n), "_m",
+                               std::to_string(pinfo.param.m), "_lam",
+                               std::to_string(pinfo.param.lambda.num()), "_",
+                               std::to_string(pinfo.param.lambda.den()));
                          });
 
 TEST(PaperLemmas, Lemma18BoundsEveryDTreeDegree) {

@@ -11,8 +11,12 @@
 // scripts/check.sh --sanitize re-runs this binary under TSan (the shard
 // loops run on real pool lanes at threads > 1) and under ASan+UBSan.
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,8 +27,10 @@
 #include "sim/protocols/bcast_protocol.hpp"
 #include "sim/protocols/dtree_protocol.hpp"
 #include "sim/protocols/multi_protocols.hpp"
+#include "sim/tick_schedule.hpp"
 #include "sim/validator.hpp"
 #include "support/prng.hpp"
+#include "test_util.hpp"
 
 namespace postal {
 namespace {
@@ -400,6 +406,208 @@ TEST_P(ParDifferential, BufferReuseAcrossRunsIsByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParDifferential,
                          ::testing::ValuesIn(thread_counts()));
+
+// --- Schedule assembly (sim/tick_schedule.hpp) ---------------------------
+// Both tick engines emit their schedule already sorted, by integer
+// (tick, src) keys, instead of stable-sorting Rational events at the end.
+// The reference is the pre-assembly behavior: the sequential Machine on
+// the Rational path, which still appends and stable-sorts. Every engine,
+// time path and lane count must reproduce it exactly, and the result must
+// be a fixed point of Schedule::sort() from the worst (reversed) order.
+
+/// Every rank sends to its successor at start and again after a timer of
+/// kTickSpanCap time units (on the tick grid, so the run stays ticked).
+class LongTimerProtocol final : public Protocol {
+ public:
+  explicit LongTimerProtocol(std::uint64_t n) : n_(n) {}
+
+  void on_start(MachineContext& ctx) override {
+    ctx.send(next(ctx), Packet{0, 0, 0});
+    ctx.set_timer(Rational(static_cast<std::int64_t>(kTickSpanCap)), 0);
+  }
+  void on_receive(MachineContext& ctx, const Packet& packet) override {
+    static_cast<void>(ctx);
+    static_cast<void>(packet);
+  }
+  void on_timer(MachineContext& ctx, std::uint64_t token) override {
+    static_cast<void>(token);
+    ctx.send(next(ctx), Packet{0, 1, 0});
+  }
+
+ private:
+  [[nodiscard]] ProcId next(const MachineContext& ctx) const {
+    return static_cast<ProcId>((ctx.self() + 1) % n_);
+  }
+  std::uint64_t n_;
+};
+
+struct AssemblyCase {
+  std::string name;
+  PostalParams params;
+  FaultPlan plan;
+  std::uint32_t messages = 1;
+  /// Builds a fresh protocol instance (per engine and per shard).
+  std::function<std::unique_ptr<Protocol>()> make;
+};
+
+class FunctionFactory final : public ShardProtocolFactory {
+ public:
+  explicit FunctionFactory(std::function<std::unique_ptr<Protocol>()> make)
+      : make_(std::move(make)) {}
+  std::unique_ptr<Protocol> make(std::uint32_t, std::uint32_t) override {
+    return make_();
+  }
+
+ private:
+  std::function<std::unique_ptr<Protocol>()> make_;
+};
+
+std::vector<AssemblyCase> assembly_corpus() {
+  std::vector<AssemblyCase> corpus;
+  const auto bcast = [](const PostalParams& params) {
+    return [params] { return std::make_unique<BcastProtocol>(params); };
+  };
+  for (const auto& [n, lambda] : {std::pair<std::uint64_t, Rational>{2, Rational(1)},
+                                  {7, Rational(5, 2)},
+                                  {100, Rational(3)},
+                                  {257, Rational(7, 3)}}) {
+    const PostalParams params(n, lambda);
+    corpus.push_back({"bcast n=" + std::to_string(n), params, {}, 1, bcast(params)});
+  }
+  // Crashes, losses and spikes.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const PostalParams params(40 + seed * 7,
+                              seed % 2 == 0 ? Rational(2) : Rational(5, 2));
+    RandomFaultOptions fopts;
+    fopts.crashes = seed;
+    fopts.lossy_links = 6;
+    fopts.loss_p = Rational(1, 3);
+    fopts.spikes = 2;
+    corpus.push_back({"faulted seed=" + std::to_string(seed), params,
+                      random_fault_plan(params, seed, fopts), 1, bcast(params)});
+  }
+  // Spans past the counting cap. A spike of kTickSpanCap units delays the
+  // origin's first sends, so the run (and at one lane, its only slice)
+  // spans twice the cap; a timer of the same length makes every rank send
+  // once early and once late, so every slice at every lane count is wide.
+  corpus.push_back({"long timer", PostalParams(20, Rational(3, 2)), {}, 1, [] {
+                      return std::make_unique<LongTimerProtocol>(20);
+                    }});
+  {
+    const PostalParams params(24, Rational(5, 2));
+    FaultPlan plan;
+    const Rational cap_units(static_cast<std::int64_t>(kTickSpanCap));
+    plan.spikes.push_back(LatencySpike{Rational(0), Rational(2), cap_units});
+    corpus.push_back({"wide spike", params, plan, 1, bcast(params)});
+  }
+  // Port backlog: multi-message protocols queue sends behind a busy port.
+  {
+    const PostalParams params(30, Rational(5, 2));
+    corpus.push_back({"repeat m=6", params, {}, 6, [params] {
+                        return std::make_unique<RepeatProtocol>(params, 6);
+                      }});
+    corpus.push_back({"pack m=6", params, {}, 6, [params] {
+                        return std::make_unique<PackProtocol>(params, 6);
+                      }});
+    corpus.push_back({"pipeline2 m=6", params, {}, 6, [params] {
+                        return std::make_unique<Pipeline2Protocol>(params, 6);
+                      }});
+  }
+  // Off the tick grid mid-run: Machine transplants, ParMachine reruns.
+  corpus.push_back({"off-grid timer", PostalParams(6, Rational(3, 2)), {}, 1, [] {
+                      return std::make_unique<OffGridTimerProtocol>(6);
+                    }});
+  return corpus;
+}
+
+/// Schedule::sort() applied to the events in reverse order.
+std::vector<SendEvent> resorted(const std::vector<SendEvent>& events) {
+  Schedule schedule;
+  for (auto it = events.rbegin(); it != events.rend(); ++it) schedule.add(*it);
+  schedule.sort();
+  return schedule.events();
+}
+
+class AssemblyDifferential
+    : public ::testing::TestWithParam<std::tuple<unsigned, TimePath>> {};
+
+TEST_P(AssemblyDifferential, EnginesEmitTheStableSortReference) {
+  const auto [threads, path] = GetParam();
+  bool saw_backlog = false;
+  for (const AssemblyCase& c : assembly_corpus()) {
+    const std::string tag = c.name + " threads=" + std::to_string(threads) +
+                            (path == TimePath::kRational ? " rational" : " auto");
+    Machine reference_engine(c.params, c.messages);
+    reference_engine.set_time_path(TimePath::kRational);
+    if (!c.plan.empty()) reference_engine.attach_faults(c.plan);
+    const MachineResult ref = reference_engine.run(*c.make());
+
+    Machine machine(c.params, c.messages);
+    machine.set_time_path(path);
+    if (!c.plan.empty()) machine.attach_faults(c.plan);
+    const MachineResult seq = machine.run(*c.make());
+
+    ParMachine par(c.params, c.messages);
+    par.set_threads(threads);
+    par.set_time_path(path);
+    if (!c.plan.empty()) par.attach_faults(c.plan);
+    FunctionFactory factory(c.make);
+    const MachineResult got = par.run(factory);
+
+    EXPECT_FALSE(ref.schedule.empty()) << tag;
+    EXPECT_EQ(seq.schedule.events(), ref.schedule.events()) << tag;
+    EXPECT_EQ(got.schedule.events(), ref.schedule.events()) << tag;
+    EXPECT_EQ(resorted(got.schedule.events()), got.schedule.events()) << tag;
+    EXPECT_EQ(seq.stats.port_busy, ref.stats.port_busy) << tag;
+    EXPECT_EQ(got.stats.port_busy, ref.stats.port_busy) << tag;
+    EXPECT_EQ(got.faults.events, ref.faults.events) << tag;
+    saw_backlog = saw_backlog || ref.stats.sends_deferred > 0;
+    const ParRunInfo& info = par.last_run_info();
+    if (c.name == "off-grid timer" && path == TimePath::kAuto) {
+      EXPECT_FALSE(seq.stats.tick_domain) << tag;  // transplanted
+      EXPECT_EQ(info.fallback_reason, "off-grid timer armed mid-run") << tag;
+    }
+    const bool ticked = path == TimePath::kAuto && info.parallel_engine;
+    if (c.name == "long timer") {
+      EXPECT_EQ(info.assemble_fallback_sorts, ticked ? info.shards : 0u) << tag;
+    } else if (c.name == "wide spike") {
+      if (ticked && info.shards == 1) {
+        EXPECT_EQ(info.assemble_fallback_sorts, 1u) << tag;
+      }
+    } else {
+      EXPECT_EQ(info.assemble_fallback_sorts, 0u) << tag;
+    }
+  }
+  EXPECT_TRUE(saw_backlog);
+}
+
+TEST_P(AssemblyDifferential, WarmRerunGrowsNoAssemblyScratch) {
+  const auto [threads, path] = GetParam();
+  for (const AssemblyCase& c : assembly_corpus()) {
+    const std::string tag = c.name + " threads=" + std::to_string(threads);
+    ParMachine par(c.params, c.messages);
+    par.set_threads(threads);
+    par.set_time_path(path);
+    if (!c.plan.empty()) par.attach_faults(c.plan);
+    FunctionFactory factory(c.make);
+    const MachineResult cold = par.run(factory);
+    const MachineResult warm = par.run(factory);
+    EXPECT_EQ(warm.schedule.events(), cold.schedule.events()) << tag;
+    if (par.last_run_info().parallel_engine) {
+      EXPECT_EQ(par.last_run_info().arena_growths, 0u) << tag;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LanesAndTimePaths, AssemblyDifferential,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 7u),
+                       ::testing::Values(TimePath::kAuto, TimePath::kRational)),
+    [](const ::testing::TestParamInfo<std::tuple<unsigned, TimePath>>& param) {
+      const bool ticked = std::get<1>(param.param) == TimePath::kAuto;
+      return test::cat("t", std::to_string(std::get<0>(param.param)),
+                       ticked ? "_auto" : "_rational");
+    });
 
 }  // namespace
 }  // namespace postal

@@ -150,7 +150,7 @@ TEST(BroadcastTree, RenderContainsEveryNode) {
   const BroadcastTree t = BroadcastTree::fibonacci(8, Rational(2));
   const std::string out = t.render(Rational(2));
   for (ProcId p = 0; p < 8; ++p) {
-    EXPECT_NE(out.find("p" + std::to_string(p)), std::string::npos);
+    EXPECT_NE(out.find(test::cat("p", std::to_string(p))), std::string::npos);
   }
 }
 

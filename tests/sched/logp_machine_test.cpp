@@ -39,13 +39,13 @@ INSTANTIATE_TEST_SUITE_P(
                       LogPCase{Rational(1), Rational(0), Rational(1), 256},
                       LogPCase{Rational(6), Rational(3), Rational(1), 50}),
     [](const ::testing::TestParamInfo<LogPCase>& pinfo) {
-      return "L" + std::to_string(pinfo.param.L.num()) + "_" +
-             std::to_string(pinfo.param.L.den()) + "_o" +
-             std::to_string(pinfo.param.o.num()) + "_" +
-             std::to_string(pinfo.param.o.den()) + "_g" +
-             std::to_string(pinfo.param.g.num()) + "_" +
-             std::to_string(pinfo.param.g.den()) + "_P" +
-             std::to_string(pinfo.param.P);
+      return test::cat("L", std::to_string(pinfo.param.L.num()), "_",
+                       std::to_string(pinfo.param.L.den()), "_o",
+                       std::to_string(pinfo.param.o.num()), "_",
+                       std::to_string(pinfo.param.o.den()), "_g",
+                       std::to_string(pinfo.param.g.num()), "_",
+                       std::to_string(pinfo.param.g.den()), "_P",
+                       std::to_string(pinfo.param.P));
     });
 
 TEST(LogPMachine, RejectsSubmissionsCloserThanGap) {

@@ -43,9 +43,10 @@ INSTANTIATE_TEST_SUITE_P(
                       SagCase{9, 100, Rational(4)}, SagCase{32, 7, Rational(3)},
                       SagCase{5, 12, Rational(7, 2)}),
     [](const ::testing::TestParamInfo<SagCase>& pinfo) {
-      return "n" + std::to_string(pinfo.param.n) + "_m" + std::to_string(pinfo.param.m) +
-             "_lam" + std::to_string(pinfo.param.lambda.num()) + "_" +
-             std::to_string(pinfo.param.lambda.den());
+      return test::cat("n", std::to_string(pinfo.param.n), "_m",
+                       std::to_string(pinfo.param.m), "_lam",
+                       std::to_string(pinfo.param.lambda.num()), "_",
+                       std::to_string(pinfo.param.lambda.den()));
     });
 
 TEST(ScatterAllgather, OwnersPartitionMessages) {

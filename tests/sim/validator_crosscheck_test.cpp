@@ -164,7 +164,7 @@ SimReport reference_report(const Schedule& schedule, const PostalParams& params,
   if (options.require_coverage) {
     for (const ProcId p : report.trace.uncovered(options.origin)) {
       if (!crash[p].has_value()) {
-        violate("p" + std::to_string(p) + " never received all messages");
+        violate(test::cat("p", std::to_string(p), " never received all messages"));
       }
     }
   }

@@ -30,6 +30,7 @@
 #include "sched/bcast.hpp"
 #include "sim/validator.hpp"
 #include "support/prng.hpp"
+#include "test_util.hpp"
 
 namespace postal {
 namespace {
@@ -224,7 +225,8 @@ TEST(ValidatorFuzzTest, DroppedSendFlagsCoverage) {
     EXPECT_FALSE(report.ok);
     ASSERT_EQ(report.violations.size(), 1u) << report.summary();
     EXPECT_TRUE(contains(report.violations[0],
-                         "p" + std::to_string(events[victim].dst) + " never received"))
+                         test::cat("p", std::to_string(events[victim].dst),
+                                   " never received")))
         << report.violations[0];
   }
 }

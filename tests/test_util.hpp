@@ -17,6 +17,16 @@
 
 namespace postal::test {
 
+/// Concatenates string pieces by appending. Use it instead of
+/// "literal" + std::to_string(...): GCC 12 at -O3 reports a false
+/// -Werror=restrict inside that operator+, which breaks Release builds.
+template <typename... Parts>
+std::string cat(const Parts&... parts) {
+  std::string out;
+  (out.append(parts), ...);
+  return out;
+}
+
 /// Failure count of the currently running test, for detecting whether one
 /// chaos scenario inside a loop failed (compare before/after).
 inline int failure_part_count() {

@@ -79,7 +79,7 @@ TEST(Gantt, FullBcastScheduleRendersEveryProcessor) {
   const PostalParams params(14, Rational(5, 2));
   const std::string out = render_gantt(bcast_schedule(params), params);
   for (ProcId p = 0; p < 14; ++p) {
-    EXPECT_NE(out.find("p" + std::to_string(p)), std::string::npos);
+    EXPECT_NE(out.find(test::cat("p", std::to_string(p))), std::string::npos);
   }
   // A legal schedule never renders '#'.
   EXPECT_EQ(out.find('#'), std::string::npos);
