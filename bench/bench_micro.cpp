@@ -8,8 +8,12 @@
 // main() runs the google-benchmark suite, then re-times the tick-domain
 // primitive pairs with a plain stopwatch and emits one bench JSON record
 // (obs/bench_record.hpp) carrying the ns/op numbers, so the micro results
-// land in the same POSTAL_BENCH_JSON trajectory as the macro benches.
+// land in the same POSTAL_BENCH_JSON trajectory as the macro benches. The
+// record also carries the ParMachine phase split, the arena proof, and the
+// minor page faults of one simulate op at n = 2^18, measured before the
+// suite runs.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <string>
@@ -282,7 +286,48 @@ double time_ns_per_op(std::uint64_t iterations, Body&& body) {
   return clock.elapsed_ms() * 1e6 / static_cast<double>(iterations);
 }
 
-void emit_micro_record() {
+/// Minor page faults of this process so far: getrusage(RUSAGE_SELF), a
+/// per-process read. The delta around one op counts the fresh pages it
+/// faulted in (about 1 us each to map and zero).
+std::int64_t minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::int64_t>(usage.ru_minflt);
+}
+
+/// Fresh pages of one simulate op at n = 2^18, shaped like perfbench's
+/// bcast_sim op: a ParMachine run on two lanes, then validate_schedule of
+/// its schedule. Two warm-up ops size the arena, the delivery list and the
+/// heap; the counts are the minor-fault deltas of the third op's two
+/// phases, and its run must regrow nothing. main() measures this before
+/// the google-benchmark suite runs: the counts depend on what the heap
+/// already holds, so a fresh process keeps them independent of the filter.
+struct OpFaults {
+  std::int64_t par_run = 0;
+  std::int64_t validate = 0;
+  bool ok = true;
+};
+
+OpFaults measure_op_faults() {
+  const PostalParams params(std::uint64_t{1} << 18, Rational(5, 2));
+  ParMachine machine(params, /*messages=*/1);
+  machine.set_threads(2);
+  auto factory = make_protocol_factory<BcastProtocol>(params);
+  OpFaults faults;
+  for (int op = 0; op < 3; ++op) {
+    const std::int64_t before_run = minor_faults();
+    const MachineResult result = machine.run(factory);
+    const std::int64_t before_validate = minor_faults();
+    faults.ok = validate_schedule(result.schedule, params).ok && faults.ok;
+    faults.validate = minor_faults() - before_validate;
+    faults.par_run = before_validate - before_run;
+  }
+  faults.ok = faults.ok && machine.last_run_info().parallel_engine &&
+              machine.last_run_info().arena_growths == 0;
+  return faults;
+}
+
+void emit_micro_record(const OpFaults& op_faults) {
   constexpr std::uint64_t kOps = 2'000'000;
   Rational racc(0);
   const Rational rstep(5, 2);
@@ -351,11 +396,12 @@ void emit_micro_record() {
 
   // Sanity gate: the stopwatch loops must have computed the same values
   // the benchmark loops do (racc = kOps * 5/2; both queues back at depth
-  // 256), the warm ParMachine rerun must have proven the arena steady
-  // state, and the timed schedule must validate. A desync here means the
-  // record is mis-measuring.
+  // 256), both warm ParMachine reruns must have proven the arena steady
+  // state, and the simulate op and the timed schedule must validate. A
+  // desync here means the record is mis-measuring.
   const bool ok = racc == rstep * Rational(static_cast<std::int64_t>(kOps)) &&
-                  heap.size() == 256 && bucket.size() == 256 && par_ok && val_ok;
+                  heap.size() == 256 && bucket.size() == 256 && par_ok &&
+                  op_faults.ok && val_ok;
 
   obs::BenchRecord rec;
   rec.bench = "bench_micro";
@@ -386,6 +432,8 @@ void emit_micro_record() {
       {"arena_growths_cold", std::to_string(arena_growths_cold)},
       {"arena_growths_warm", std::to_string(arena_growths_warm)},
       {"validate_ns_per_event", fmt(validate_ns_per_event, 2)},
+      {"validate_minflt", std::to_string(op_faults.validate)},
+      {"par_run_minflt", std::to_string(op_faults.par_run)},
   };
   obs::emit_bench_record(rec);
 }
@@ -396,8 +444,9 @@ void emit_micro_record() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const postal::OpFaults op_faults = postal::measure_op_faults();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  postal::emit_micro_record();
+  postal::emit_micro_record(op_faults);
   return 0;
 }

@@ -218,6 +218,10 @@ if [ "$PERF" -eq 1 ]; then
   grep -q '"bench":"bench_micro".*"arena_growths_warm":"0"' \
     build/PERF_records.json
   grep -q '"bench":"bench_micro".*"validate_ns_per_event"' build/PERF_records.json
+  # Fresh pages per simulate op at n = 2^18 (docs/PERFORMANCE.md): the
+  # minor-fault deltas of the ParMachine run and of its validation.
+  grep -q '"bench":"bench_micro".*"validate_minflt"' build/PERF_records.json
+  grep -q '"bench":"bench_micro".*"par_run_minflt"' build/PERF_records.json
   # Both ParMachine records must carry the full phase split, so the wall
   # time of a sharded run is accounted for end to end (docs/PERFORMANCE.md).
   grep -q '"bench":"bench_micro".*"assemble_ms"' build/PERF_records.json
@@ -291,20 +295,25 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-tsan/tests/test_svc_chaos
 
   # ASan+UBSan over the randomized tests: the differential pass, the
-  # validator mutation fuzzer, the par tests again (allocation-heavy), the
-  # fault-injection paths (crash truncation exercises every simulator
-  # early-exit; the chaos sweep stresses them with random plans), and the
+  # validator suites (the mutation fuzzer, and the unit and crosscheck
+  # suites that drive the tick path's sentinel cells and its 2^62 probe
+  # bound), the par tests again (allocation-heavy), the fault-injection
+  # paths (crash truncation exercises every simulator early-exit; the
+  # chaos sweep stresses them with random plans), and the
   # whole service layer (parser edge cases, the 200+-scenario soak, the
   # histogram's bucket math at 2^64 extremes, and the faulted exec tier).
   echo "== sanitize: address,undefined"
   cmake -B build-asan -G Ninja -DPOSTAL_SANITIZE=address,undefined
   cmake --build build-asan --target test_differential test_validator_fuzz \
-    test_par test_machine_faults test_reliable_bcast test_chaos \
-    test_ticks test_event_queue test_tick_differential test_par_machine \
-    test_par_differential test_tick_schedule test_svc_workload test_svc_service \
-    test_svc_soak test_svc_percentile test_svc_chaos
+    test_validator test_validator_crosscheck test_par test_machine_faults \
+    test_reliable_bcast test_chaos test_ticks test_event_queue \
+    test_tick_differential test_par_machine test_par_differential \
+    test_tick_schedule test_svc_workload test_svc_service test_svc_soak \
+    test_svc_percentile test_svc_chaos
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
+  ./build-asan/tests/test_validator
+  ./build-asan/tests/test_validator_crosscheck
   ./build-asan/tests/test_par
   ./build-asan/tests/test_machine_faults
   ./build-asan/tests/test_reliable_bcast

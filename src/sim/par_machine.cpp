@@ -60,7 +60,10 @@
 // run() calls -- cleared, never deallocated. After the first run's
 // high-water mark, steady-state windows allocate nothing;
 // ParRunInfo::arena_growths counts the capacity growths actually observed
-// so benches can prove it (bench_micro's warm-rerun section).
+// so benches can prove it (bench_micro's warm-rerun section). The run's
+// delivery list leaves with the result, so it cannot be retained; the
+// engine reserves it at the previous run's delivery count instead, and a
+// regrowth past that reserve counts as an arena growth too.
 //
 // Schedule assembly: a shard records its sends as integer tick records in
 // its own TickScheduleSlice. After the last window the lanes sort their
@@ -202,6 +205,7 @@ class ParShard final : public ContextSink {
     q.clear();
     sends.reset(lo, hi);
     to_rational_.reset(tick_q);
+    send_rational_.reset(tick_q);
     stats = MachineStats();
     stats.tick_domain = true;
     faults = FaultStats();
@@ -396,8 +400,9 @@ class ParShard final : public ContextSink {
     ++stats.events_processed;
     cur_.delivered = 1;
     if (trace_mode == TraceMode::kFull) {
+      // Send starts and pop ticks alternate here, so each has its own memo.
       deliveries.push_back(Delivery{ev.src, ev.dst, ev.packet.msg,
-                                    tick_rational(ev.send_start),
+                                    send_rational_(ev.send_start),
                                     tick_rational(time)});
     } else {
       // Elided trace: update the (dst, msg) first-arrival cell directly --
@@ -496,7 +501,8 @@ class ParShard final : public ContextSink {
   }
 
   Tick window_end_ = 0;
-  TickRationalMemo to_rational_;
+  TickRationalMemo to_rational_;    ///< pop and send ticks
+  TickRationalMemo send_rational_;  ///< Delivery::send_start
   PopEntry cur_{};
   std::vector<OutboxEntry> seal_scratch_;
   std::vector<std::uint32_t> seal_counts_;
@@ -521,6 +527,7 @@ class Replay {
   std::uint64_t replayed_pops = 0;
   std::uint64_t merge_deliveries = 0;
   std::uint64_t merge_fault_events = 0;
+  std::uint64_t trace_growths = 0;  ///< delivery-list reallocations this run
 
   void start_run(std::vector<ParShard>* shards, Trace* trace,
                  FaultStats* faults, bool full) {
@@ -546,6 +553,7 @@ class Replay {
     replayed_pops = 0;
     merge_deliveries = 0;
     merge_fault_events = 0;
+    trace_growths = 0;
   }
 
   /// Sequential pass: visit this window's pops in exact sequential order,
@@ -612,9 +620,11 @@ class Replay {
   /// Sequential: grow the shared containers to this window's high slot.
   void materialize_prepare() {
     if (full_ && del_next_ != window_del_base_) {
+      const std::size_t capacity = trace_->deliveries().capacity();
       const std::size_t base =
           trace_->replay_extend(static_cast<std::size_t>(del_next_ - window_del_base_));
       POSTAL_CHECK(base == window_del_base_);
+      if (trace_->deliveries().capacity() != capacity) ++trace_growths;
     }
     faults_->events.resize(static_cast<std::size_t>(fev_next_));
     merge_deliveries += del_next_ - window_del_base_;
@@ -682,6 +692,9 @@ struct ParMachine::Engine {
   std::vector<std::uint64_t> flush_in;     ///< per dest: entries flushed
   std::vector<std::uint64_t> flush_cross;  ///< per dest: from another shard
   std::vector<TickScheduleSlice*> slices;  ///< the shards' schedule slices
+  /// The previous run's delivery count: the next run reserves its delivery
+  /// list at this size, so a warm rerun never regrows it.
+  std::uint64_t last_deliveries = 0;
   std::unique_ptr<par::ThreadPool> pool;
   unsigned pool_threads = 0;
 };
@@ -766,6 +779,7 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
 
   MachineResult result;
   result.trace = Trace(n, messages_, trace_mode_);
+  result.trace.reserve(static_cast<std::size_t>(eng.last_deliveries));
 
   eng.shards.resize(s_count);
   std::vector<ParShard>& shards = eng.shards;
@@ -974,6 +988,8 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
     info_.arena_growths += shards[s].arena_growths;
     factory.reclaim(s, std::move(shards[s].protocol));
   }
+  info_.arena_growths += replay.trace_growths;
+  eng.last_deliveries = result.trace.delivery_count();
   info_.merge_ms = info_.merge_sequence_ms + info_.merge_materialize_ms;
   info_.assemble_ms = ms_since(t0);
   return result;

@@ -133,10 +133,11 @@ struct ParRunInfo {
   /// end-of-run assembly and sorted by comparison on the integer key
   /// (sim/tick_schedule.hpp).
   std::uint64_t assemble_fallback_sorts = 0;
-  /// Window-buffer capacity growths observed across the run. Buffers are
-  /// retained across windows *and* across run() calls on one ParMachine,
-  /// so a warm rerun reports 0 here: the steady state allocates nothing
-  /// per window (bench_micro proves it).
+  /// Window-buffer capacity growths observed across the run, plus every
+  /// regrowth of the trace's delivery list past its reserve (the previous
+  /// run's delivery count). Buffers are retained across windows *and*
+  /// across run() calls on one ParMachine, so a warm rerun reports 0 here:
+  /// the steady state allocates nothing per window (bench_micro proves it).
   std::uint64_t arena_growths = 0;
   // Wall-clock phases of a sharded run() (all 0 on a sequential fallback).
   // Together they cover the whole call, so a phase split of an outside

@@ -1,6 +1,7 @@
 #include "sim/validator.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -45,6 +46,7 @@ std::string proc_text(ProcId p, const char* what, std::optional<MsgId> number = 
 
 struct RationalOps {
   using Time = Rational;
+  using Opt = std::optional<Rational>;
   Rational lambda;
   Rational one{1};
 
@@ -55,8 +57,25 @@ struct RationalOps {
   [[nodiscard]] const Rational& rat(const Time& t) const { return t; }
 };
 
+/// An optional tick in 8 bytes, for the per-rank and per-port cells of the
+/// tick path (std::optional<Tick> takes 16). INT64_MIN marks "none": the
+/// probe admits a run only when every tick it can form is below 2^62 in
+/// magnitude, so no real tick is ever INT64_MIN.
+class OptTick {
+ public:
+  OptTick() = default;
+  OptTick(Tick t) : t_(t) {}  // NOLINT: converts like std::optional
+  [[nodiscard]] bool has_value() const noexcept { return t_ != kNone; }
+  [[nodiscard]] Tick operator*() const noexcept { return t_; }
+
+ private:
+  static constexpr Tick kNone = std::numeric_limits<Tick>::min();
+  Tick t_ = kNone;
+};
+
 struct TickOps {
   using Time = Tick;
+  using Opt = OptTick;
   TickDomain dom;
   Tick lambda = 0;
   Tick one = 0;
@@ -73,12 +92,16 @@ template <typename Ops>
 void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
                      std::uint64_t n, std::uint32_t messages,
                      const ValidatorOptions& options,
-                     const std::vector<std::optional<typename Ops::Time>>& crash,
+                     const std::vector<typename Ops::Opt>& crash,
                      SimReport& report) {
   using Time = typename Ops::Time;
+  using Opt = typename Ops::Opt;
   auto violate = [&report](const std::string& text) {
     report.violations.push_back(text);
   };
+  // Earliest crash of p, if any. The table is empty when no crash is
+  // declared, which is every fault-free run.
+  const auto crashed = [&crash](ProcId p) { return crash.empty() ? Opt{} : crash[p]; };
 
   // Port exclusivity keeps one window per port: the end of the last window
   // the port accepted. This is exact, not a heuristic. Events are visited
@@ -89,9 +112,9 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
   // accepted window ends at or before the last one starts: a new window
   // overlaps some accepted window iff it starts before the last one ends,
   // and the last one is then the clash to quote.
-  std::vector<std::optional<Time>> send_end(n);
-  std::vector<std::optional<Time>> recv_end(n);
-  auto claim = [&ops](std::optional<Time>& end, const Time& lo) {
+  std::vector<Opt> send_end(n);
+  std::vector<Opt> recv_end(n);
+  auto claim = [&ops](Opt& end, const Time& lo) {
     if (end.has_value() && lo < *end) return false;
     end = lo + ops.one;
     return true;
@@ -104,7 +127,7 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
   };
   std::vector<Time> recv_free(options.fifo_receive ? n : 0, Time{});
   // holds[p * messages + msg]: earliest time p holds msg (origin: 0).
-  std::vector<std::optional<Time>> holds(n * messages);
+  std::vector<Opt> holds(n * messages);
   if (options.preholds) {
     for (auto& h : holds) h = Time{};
   } else if (options.origins.empty()) {
@@ -137,9 +160,9 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
     const Time t = ops.event_time(e, i);
     // A dead processor cannot transmit: such an event proves the schedule
     // was not produced under the declared crashes.
-    if (crash[e.src].has_value() && t >= *crash[e.src]) {
+    if (const Opt dead = crashed(e.src); dead.has_value() && t >= *dead) {
       violate(violation_prefix(e) + "p" + std::to_string(e.src) + " crashed at t=" +
-              ops.rat(*crash[e.src]).str() + " but sends afterwards");
+              ops.rat(*dead).str() + " but sends afterwards");
       continue;
     }
     // Causality: the sender must hold the message when the send starts.
@@ -157,17 +180,15 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
     // delays the arrival instead. Either way a delivery reaching a crashed
     // receiver at or after its crash time is void: no port use, no hold.
     Time arrive = t + ops.lambda;
-    bool voided;
     if (options.fifo_receive) {
       const Time window = std::max(arrive - ops.one, recv_free[e.dst]);
       arrive = window + ops.one;
       recv_free[e.dst] = arrive;
-      voided = crash[e.dst].has_value() && arrive >= *crash[e.dst];
-    } else {
-      voided = crash[e.dst].has_value() && arrive >= *crash[e.dst];
-      if (!voided && !claim(recv_end[e.dst], arrive - ops.one)) {
-        busy(e, "receive", e.dst, *recv_end[e.dst]);
-      }
+    }
+    const Opt dst_dead = crashed(e.dst);
+    const bool voided = dst_dead.has_value() && arrive >= *dst_dead;
+    if (!options.fifo_receive && !voided && !claim(recv_end[e.dst], arrive - ops.one)) {
+      busy(e, "receive", e.dst, *recv_end[e.dst]);
     }
     if (voided) continue;
     auto& dst_holds = holds[e.dst * messages + e.msg];
@@ -180,7 +201,7 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
   }
 
   if (options.require_coverage) {
-    const auto is_crashed = [&crash](ProcId p) { return crash[p].has_value(); };
+    const auto is_crashed = [&crashed](ProcId p) { return crashed(p).has_value(); };
     if (!options.required.empty()) {
       for (const auto& [p, msg] : options.required) {
         POSTAL_REQUIRE(p < n && msg < messages,
@@ -222,13 +243,15 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
 /// Static tick-path probe: fold every time the loop will touch into one
 /// resolution q, convert, and bound the largest tick expression the loop
 /// can form (arrive = t + lambda, +- 1 per port window, plus one unit per
-/// event of FIFO receive drift) in 128-bit arithmetic. Any failure --
-/// unrepresentable time, lcm overflow, bound exceeded -- returns nullopt
-/// and validation stays on the Rational reference path.
+/// event of FIFO receive drift) in 128-bit arithmetic. The bound keeps
+/// every tick below 2^62 in magnitude, which also leaves INT64_MIN free as
+/// OptTick's "none". Any failure -- unrepresentable time, lcm overflow,
+/// bound exceeded -- returns nullopt and validation stays on the Rational
+/// reference path.
 struct TickPlan {
   TickOps ops;
   std::vector<Tick> event_ticks;
-  std::vector<std::optional<Tick>> crash;
+  std::vector<OptTick> crash;  ///< empty when no crash is declared
 };
 
 std::optional<TickPlan> probe_ticks(
@@ -302,8 +325,9 @@ SimReport validate_schedule(const Schedule& schedule, const PostalParams& params
 
   // Earliest known crash per processor (docs/FAULTS.md): deliveries at or
   // after it are void, sends at or after it are impossible, and the
-  // processor is exempt from coverage.
-  std::vector<std::optional<Rational>> crash(n);
+  // processor is exempt from coverage. A run without crashes builds no
+  // table (validate_events reads an empty one as "nobody crashed").
+  std::vector<std::optional<Rational>> crash(options.crashes.empty() ? 0 : n);
   for (const CrashFault& c : options.crashes) {
     POSTAL_REQUIRE(c.proc < n, "validate_schedule: crashed processor out of range");
     auto& slot = crash[c.proc];

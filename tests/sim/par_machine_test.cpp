@@ -119,6 +119,65 @@ TEST(ParMachine, FaultPlanAttachDetachMirrorsMachine) {
   EXPECT_TRUE(clean.trace.covers_all(0));
 }
 
+TEST(ParMachine, WarmRerunNeverRegrowsTheDeliveryList) {
+  // The engine reserves each run's delivery list at the previous run's
+  // delivery count: an identical warm rerun fills it exactly, and the cold
+  // run's doublings count as arena growths.
+  const PostalParams params(4096, Rational(5, 2));
+  ParMachine par(params, 1);
+  par.set_threads(2);
+  auto factory = make_protocol_factory<BcastProtocol>(params);
+  const MachineResult cold = par.run(factory);
+  EXPECT_GT(par.last_run_info().arena_growths, 0u);
+  const MachineResult warm = par.run(factory);
+  EXPECT_EQ(par.last_run_info().arena_growths, 0u);
+  EXPECT_EQ(warm.trace.deliveries().size(), params.n() - 1);
+  EXPECT_EQ(warm.trace.deliveries().capacity(), warm.trace.deliveries().size());
+  EXPECT_EQ(warm.trace.deliveries(), cold.trace.deliveries());
+  EXPECT_EQ(warm.schedule.events(), cold.schedule.events());
+}
+
+TEST(ParMachine, ShrinkingAndGrowingRunsMatchAFreshMachine) {
+  // n is fixed per ParMachine, so the delivery count changes through the
+  // fault plan: a crash of rank 1 at t = 0 cuts BCAST's largest subtree.
+  // Fewer deliveries after more, and more after fewer, must each equal a
+  // fresh machine's run; growing past the reserve counts as arena growth.
+  const PostalParams params(2048, Rational(5, 2));
+  FaultPlan crash;
+  crash.crashes.push_back(CrashFault{1, Rational(0)});
+  auto factory = make_protocol_factory<BcastProtocol>(params);
+  const auto fresh_run = [&](bool crashed) {
+    ParMachine fresh(params, 1);
+    fresh.set_threads(3);
+    if (crashed) fresh.attach_faults(crash);
+    return fresh.run(factory);
+  };
+  const MachineResult large = fresh_run(false);
+  const MachineResult small = fresh_run(true);
+  ASSERT_LT(small.trace.deliveries().size(), large.trace.deliveries().size());
+
+  ParMachine par(params, 1);
+  par.set_threads(3);
+  for (const bool crashed : {false, true, false, true}) {
+    if (crashed) {
+      par.attach_faults(crash);
+    } else {
+      par.detach_faults();
+    }
+    const MachineResult got = par.run(factory);
+    const MachineResult& want = crashed ? small : large;
+    EXPECT_EQ(got.schedule.events(), want.schedule.events()) << crashed;
+    EXPECT_EQ(got.trace.deliveries(), want.trace.deliveries()) << crashed;
+    EXPECT_EQ(got.faults.events, want.faults.events) << crashed;
+    EXPECT_EQ(got.stats.port_busy, want.stats.port_busy) << crashed;
+    EXPECT_TRUE(par.last_run_info().parallel_engine);
+  }
+  // The last run was the small one; the large one now outgrows its reserve.
+  par.detach_faults();
+  static_cast<void>(par.run(factory));
+  EXPECT_GE(par.last_run_info().arena_growths, 1u);
+}
+
 TEST(ParMachine, AttachingAnEmptyPlanIsANoOp) {
   ParMachine par(PostalParams(4, Rational(1)), 1);
   par.attach_faults(FaultPlan{});

@@ -307,6 +307,65 @@ TEST(ValidatorCrosscheck, FullReportMatchesIntervalSetReference) {
   EXPECT_GT(clashes, 100u);
 }
 
+TEST(ValidatorCrosscheck, CrashEdgesMatchIntervalSetReference) {
+  // The crash table is built only when crashes are declared, and every
+  // lookup goes through one helper on both time paths. Its edges, string
+  // for string against the reference: no crash at all, crashes at t = 0
+  // (the origin too), and crashes at the last send tick on the sender of
+  // that send and on its receiver, alone and after an earlier crash of the
+  // same sender (the earliest must win).
+  struct Base {
+    PostalParams params;
+    std::uint32_t messages;
+    Schedule schedule;
+  };
+  std::vector<Base> bases;
+  for (const Rational lambda : {Rational(2), Rational(5, 2)}) {
+    const PostalParams params(12, lambda);
+    bases.push_back({params, 3, make_multi_schedule(MultiAlgo::kPipeline, params, 3)});
+    bases.push_back({params, 1, make_multi_schedule(MultiAlgo::kRepeat, params, 1)});
+  }
+  for (const Base& b : bases) {
+    const std::vector<SendEvent>& events = b.schedule.events();
+    const SendEvent& last = *std::max_element(
+        events.begin(), events.end(),
+        [](const SendEvent& x, const SendEvent& y) { return x.t < y.t; });
+    const auto last_proc = static_cast<ProcId>(b.params.n() - 1);
+    const std::vector<std::vector<CrashFault>> cases = {
+        {},
+        {CrashFault{0, Rational(0)}},
+        {CrashFault{1, Rational(0)}, CrashFault{last_proc, Rational(0)}},
+        {CrashFault{last.src, last.t}},
+        {CrashFault{last.dst, last.t}},
+        {CrashFault{last.src, Rational(0)}, CrashFault{last.src, last.t}},
+    };
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      for (const TimePath path : {TimePath::kAuto, TimePath::kRational}) {
+        for (const bool fifo : {false, true}) {
+          ValidatorOptions options;
+          options.messages = b.messages;
+          options.time_path = path;
+          options.fifo_receive = fifo;
+          options.crashes = cases[c];
+          const SimReport got = validate_schedule(b.schedule, b.params, options);
+          EXPECT_EQ(got.tick_domain, path == TimePath::kAuto);
+          expect_same_report(got, reference_report(b.schedule, b.params, options),
+                             test::cat("lambda=", b.params.lambda().str(),
+                                       " m=", std::to_string(b.messages),
+                                       " case=", std::to_string(c),
+                                       " fifo=", std::to_string(fifo)));
+          if (c == 0) {
+            EXPECT_TRUE(got.ok) << got.summary();
+          } else if (c == 3) {
+            // The last send starts at its sender's crash: a violation.
+            EXPECT_FALSE(got.ok);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ValidatorCrosscheck, PortClashQuotesTheLastAcceptedWindow) {
   const PostalParams params(4, Rational(5, 2));
   Schedule s;

@@ -321,6 +321,68 @@ TEST(Validator, FifoReceiveSerializesWhatStrictModeRejects) {
   EXPECT_EQ(relaxed.makespan, Rational(6));
 }
 
+TEST(Validator, CausalityTextQuotesTheHoldOnBothTimePaths) {
+  // The tick path keeps holds in 8-byte cells where INT64_MIN means "not
+  // held": an unheld cell must drop the "holds it only from" clause, and a
+  // held one must quote its time exactly as the Rational path does.
+  Schedule s;
+  s.add(0, 1, 0, Rational(0));     // p1 holds M1 from 5/2
+  s.add(1, 2, 0, Rational(2));     // too early: quotes the hold
+  s.add(3, 2, 0, Rational(3));     // p3 never holds M1
+  ValidatorOptions options;
+  options.require_coverage = false;
+  const std::vector<std::string> want = {
+      "[p1 -> p2 : M1 @ t=2] sender does not hold the message yet"
+      " (holds it only from t=5/2)",
+      "[p3 -> p2 : M1 @ t=3] sender does not hold the message yet",
+  };
+  for (const TimePath path : {TimePath::kAuto, TimePath::kRational}) {
+    options.time_path = path;
+    const SimReport report = validate_schedule(s, mps(4, Rational(5, 2)), options);
+    EXPECT_EQ(report.tick_domain, path == TimePath::kAuto);
+    EXPECT_EQ(report.violations, want);
+    EXPECT_EQ(report.makespan, Rational(11, 2));
+  }
+}
+
+TEST(Validator, TickPathAdmitsTimesJustInsideTheProbeBound) {
+  // The probe admits a run only when its largest tick expression,
+  // max|t| + lambda + (events + 2) * q, stays below 2^62. Here q = 1,
+  // lambda = 2 and there is one event: the bound is t + 5, so the last
+  // admitted time is 2^62 - 6, and 2^62 - 5 falls back to Rational. The
+  // same edge holds for a crash time. Reports are equal either way.
+  constexpr std::int64_t kLimit = std::int64_t{1} << 62;
+  const PostalParams params = mps(2, Rational(2));
+  const auto check = [&params](const Schedule& s, const ValidatorOptions& base,
+                               bool inside, const std::string& what) {
+    ValidatorOptions options = base;
+    const SimReport got = validate_schedule(s, params, options);
+    options.time_path = TimePath::kRational;
+    const SimReport want = validate_schedule(s, params, options);
+    EXPECT_EQ(got.tick_domain, inside) << what;
+    EXPECT_EQ(got.violations, want.violations) << what;
+    EXPECT_EQ(got.trace.deliveries(), want.trace.deliveries()) << what;
+    EXPECT_EQ(got.makespan, want.makespan) << what;
+    EXPECT_EQ(got.ok, want.ok) << what;
+  };
+  for (const bool inside : {true, false}) {
+    const std::int64_t edge = inside ? kLimit - 6 : kLimit - 5;
+    Schedule late;
+    late.add(0, 1, 0, Rational(edge));
+    const ValidatorOptions plain;
+    check(late, plain, inside, test::cat("send at ", std::to_string(edge)));
+    const SimReport report = validate_schedule(late, params);
+    EXPECT_TRUE(report.ok) << report.summary();
+    EXPECT_EQ(report.makespan, Rational(edge) + Rational(2));
+
+    Schedule early;
+    early.add(0, 1, 0, Rational(0));
+    ValidatorOptions crash;
+    crash.crashes = {CrashFault{1, Rational(edge)}};
+    check(early, crash, inside, test::cat("crash at ", std::to_string(edge)));
+  }
+}
+
 TEST(Validator, SummaryListsEachViolation) {
   Schedule s;
   s.add(0, 1, 0, Rational(0));
