@@ -57,6 +57,9 @@
 //                                               counts (wall time on stderr)
 //
 // Latencies accept integers, fractions ("5/2"), or decimals ("2.5").
+// Counts, ranks and seeds are base-10 unsigned integers (support/parse.hpp):
+// trailing junk, a sign, overflow, n = 0 or a lane count outside 1..1024
+// fails with an error naming the argument before anything is printed.
 // With POSTAL_BENCH_JSON set, sweep appends one bench record per grid point
 // (thread count and per-point wall time in extra; docs/PARALLELISM.md),
 // faults appends one "postal_cli_faults" record (faults_injected,
@@ -90,6 +93,7 @@
 #include "sim/protocols/bcast_protocol.hpp"
 #include "sim/protocols/reliable_bcast.hpp"
 #include "sim/validator.hpp"
+#include "support/parse.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -134,6 +138,19 @@ int usage() {
             << "    e.g. serve 'poisson;grid=16;rate=1/4;jobs=1000;"
                "mix=w1:n64:l2:m1' 7\n";
   return 2;
+}
+
+/// A processor count argument (n >= 1).
+std::uint64_t parse_n(const std::string& text) { return parse_uint(text, "n", 1); }
+
+/// A lane count argument, capped as POSTAL_THREADS is (par/thread_pool.hpp).
+unsigned parse_threads(const std::string& text, const std::string& what) {
+  return static_cast<unsigned>(parse_uint(text, what, 1, 1024));
+}
+
+/// The rank half of an "R:T" argument (--crash, --reconfig).
+ProcId parse_rank(const std::string& text, const std::string& what) {
+  return static_cast<ProcId>(parse_uint(text, what, 0, 0xffffffffULL));
 }
 
 /// Remove "<flag> <value>" from `rest` wherever it appears; returns the
@@ -366,7 +383,7 @@ int cmd_calibrate(std::uint64_t rows, std::uint64_t cols, const std::string& kin
 int cmd_sweep(const std::string& ns_csv, const std::string& lambdas_csv,
               unsigned threads) {
   std::vector<std::uint64_t> ns;
-  for (const std::string& item : split_csv(ns_csv)) ns.push_back(std::stoull(item));
+  for (const std::string& item : split_csv(ns_csv)) ns.push_back(parse_n(item));
   std::vector<Rational> lambdas;
   for (const std::string& item : split_csv(lambdas_csv)) {
     lambdas.push_back(Rational::parse(item));
@@ -863,30 +880,31 @@ int main(int argc, char** argv) {
   const std::vector<std::string> args(argv + 2, argv + argc);
   try {
     if (cmd == "tree" && args.size() == 2) {
-      return cmd_tree(std::stoull(args[0]), Rational::parse(args[1]));
+      return cmd_tree(parse_n(args[0]), Rational::parse(args[1]));
     }
     if (cmd == "plan" && args.size() == 3) {
-      return cmd_plan(std::stoull(args[0]), std::stoull(args[1]),
+      return cmd_plan(parse_n(args[0]), parse_uint(args[1], "m", 1),
                       Rational::parse(args[2]));
     }
     if (cmd == "collectives" && args.size() == 2) {
-      return cmd_collectives(std::stoull(args[0]), Rational::parse(args[1]));
+      return cmd_collectives(parse_n(args[0]), Rational::parse(args[1]));
     }
     if (cmd == "calibrate" && args.size() == 3) {
-      return cmd_calibrate(std::stoull(args[0]), std::stoull(args[1]), args[2]);
+      return cmd_calibrate(parse_uint(args[0], "rows", 1), parse_uint(args[1], "cols", 1),
+                           args[2]);
     }
     if (cmd == "bounds" && args.size() == 2) {
-      return cmd_bounds(std::stoull(args[0]), Rational::parse(args[1]));
+      return cmd_bounds(parse_n(args[0]), Rational::parse(args[1]));
     }
     if (cmd == "trace-export" && (args.size() == 2 || args.size() == 3)) {
-      return cmd_trace_export(std::stoull(args[0]), Rational::parse(args[1]),
+      return cmd_trace_export(parse_n(args[0]), Rational::parse(args[1]),
                               args.size() == 3 ? args[2] : std::string());
     }
     if (cmd == "metrics" && args.size() == 2) {
-      return cmd_metrics(std::stoull(args[0]), Rational::parse(args[1]));
+      return cmd_metrics(parse_n(args[0]), Rational::parse(args[1]));
     }
     if (cmd == "simulate" && args.size() >= 2) {
-      const std::uint64_t n = std::stoull(args[0]);
+      const std::uint64_t n = parse_n(args[0]);
       const Rational lambda = Rational::parse(args[1]);
       std::vector<std::string> rest(args.begin() + 2, args.end());
       const std::string t = take_flag(rest, "--threads");
@@ -895,48 +913,48 @@ int main(int argc, char** argv) {
       if (!mode.empty() && mode != "full" && mode != "counters") return usage();
       const unsigned threads =
           t.empty() ? par::threads_from_env(par::default_threads())
-                    : static_cast<unsigned>(std::stoul(t));
+                    : parse_threads(t, "--threads");
       return cmd_simulate(n, lambda, threads,
                           mode == "counters" ? TraceMode::kCounters
                                              : TraceMode::kFull);
     }
     if (cmd == "sweep" && (args.size() == 2 || args.size() == 3)) {
       const unsigned threads =
-          args.size() == 3 ? static_cast<unsigned>(std::stoul(args[2]))
+          args.size() == 3 ? parse_threads(args[2], "threads")
                            : par::threads_from_env(par::default_threads());
       return cmd_sweep(args[0], args[1], threads);
     }
     if (cmd == "oracle" && args.size() >= 3) {
-      const std::uint64_t n = std::stoull(args[0]);
+      const std::uint64_t n = parse_n(args[0]);
       const Rational lambda = Rational::parse(args[1]);
       const std::string& sub = args[2];
       if (sub == "makespan" && args.size() == 3) {
         return cmd_oracle_makespan(n, lambda);
       }
       if (sub == "rank" && args.size() == 4) {
-        return cmd_oracle_rank(n, lambda, std::stoull(args[3]));
+        return cmd_oracle_rank(n, lambda, parse_uint(args[3], "rank"));
       }
       if (sub == "range" && args.size() == 5) {
-        return cmd_oracle_range(n, lambda, std::stoull(args[3]),
-                                std::stoull(args[4]));
+        return cmd_oracle_range(n, lambda, parse_uint(args[3], "lo"),
+                                parse_uint(args[4], "hi"));
       }
       return usage();
     }
     if (cmd == "serve" && args.size() >= 2) {
       const svc::WorkloadSpec spec = svc::WorkloadSpec::parse(args[0]);
-      const std::uint64_t seed = std::stoull(args[1]);
+      const std::uint64_t seed = parse_uint(args[1], "seed");
       std::vector<std::string> rest(args.begin() + 2, args.end());
       svc::ServiceOptions options;
       options.exec_every = 32;  // sample the event-driven tier by default
       const std::string queue_arg = take_flag(rest, "--queue");
-      if (!queue_arg.empty()) options.queue_capacity = std::stoull(queue_arg);
+      if (!queue_arg.empty()) options.queue_capacity = parse_uint(queue_arg, "--queue");
       const std::string exec_arg = take_flag(rest, "--exec-every");
-      if (!exec_arg.empty()) options.exec_every = std::stoull(exec_arg);
+      if (!exec_arg.empty()) options.exec_every = parse_uint(exec_arg, "--exec-every");
       const std::string fault_arg = take_flag(rest, "--fault-seed");
-      if (!fault_arg.empty()) options.fault_seed = std::stoull(fault_arg);
+      if (!fault_arg.empty()) options.fault_seed = parse_uint(fault_arg, "--fault-seed");
       const std::string threads_arg = take_flag(rest, "--threads");
       if (!threads_arg.empty()) {
-        options.threads = static_cast<unsigned>(std::stoul(threads_arg));
+        options.threads = parse_threads(threads_arg, "--threads");
       }
       const std::string time_path = take_flag(rest, "--time-path");
       if (time_path == "rational") {
@@ -949,13 +967,12 @@ int main(int argc, char** argv) {
     }
     if ((cmd == "elect" || cmd == "consensus" || cmd == "log") &&
         args.size() >= 2) {
-      const std::uint64_t n = std::stoull(args[0]);
+      const std::uint64_t n = parse_n(args[0]);
       const Rational lambda = Rational::parse(args[1]);
       std::vector<std::string> rest(args.begin() + 2, args.end());
       const std::string threads_arg = take_flag(rest, "--threads");
       const unsigned threads =
-          threads_arg.empty() ? 1
-                              : static_cast<unsigned>(std::stoul(threads_arg));
+          threads_arg.empty() ? 1 : parse_threads(threads_arg, "--threads");
       const std::string trace_path = take_flag(rest, "--trace");
       const std::string plan_path = take_flag(rest, "--plan");
       const std::string seed_arg = take_flag(rest, "--seed");
@@ -967,8 +984,8 @@ int main(int argc, char** argv) {
       if (cmd == "log") {
         const std::string commands_arg = take_flag(rest, "--commands");
         if (!commands_arg.empty()) {
-          log_options.commands =
-              static_cast<std::uint32_t>(std::stoul(commands_arg));
+          log_options.commands = static_cast<std::uint32_t>(
+              parse_uint(commands_arg, "--commands", 0, 0xffffffffULL));
         }
         const std::string reconfig_arg = take_flag(rest, "--reconfig");
         if (!reconfig_arg.empty()) {
@@ -978,7 +995,7 @@ int main(int argc, char** argv) {
             const std::size_t colon = op.find(':');
             if (colon == std::string::npos) return usage();
             log_options.reconfig.push_back(coord::ReconfigRequest{
-                static_cast<ProcId>(std::stoul(op.substr(0, colon))),
+                parse_rank(op.substr(0, colon), "--reconfig rank"),
                 Rational::parse(op.substr(colon + 1))});
           }
         }
@@ -1000,9 +1017,9 @@ int main(int argc, char** argv) {
         have_plan = true;
       } else if (!seed_arg.empty()) {
         RandomFaultOptions fopts;
-        fopts.crashes = crashes_arg.empty() ? 1 : std::stoull(crashes_arg);
+        fopts.crashes = crashes_arg.empty() ? 1 : parse_uint(crashes_arg, "--crashes");
         plan = random_fault_plan(PostalParams(n, lambda),
-                                 std::stoull(seed_arg), fopts);
+                                 parse_uint(seed_arg, "--seed"), fopts);
         have_plan = true;
       }
       if (!crash_arg.empty()) {
@@ -1011,7 +1028,7 @@ int main(int argc, char** argv) {
         const std::size_t colon = crash_arg.find(':');
         if (colon == std::string::npos) return usage();
         plan.crashes.push_back(
-            CrashFault{static_cast<ProcId>(std::stoul(crash_arg.substr(0, colon))),
+            CrashFault{parse_rank(crash_arg.substr(0, colon), "--crash rank"),
                        Rational::parse(crash_arg.substr(colon + 1))});
         have_plan = true;
       }
@@ -1032,13 +1049,12 @@ int main(int argc, char** argv) {
       return cmd_consensus(n, lambda, plan, have_plan, trace_path, threads);
     }
     if (cmd == "faults" && args.size() >= 3) {
-      const std::uint64_t n = std::stoull(args[0]);
+      const std::uint64_t n = parse_n(args[0]);
       const Rational lambda = Rational::parse(args[1]);
       std::vector<std::string> rest(args.begin() + 2, args.end());
       const std::string threads_arg = take_flag(rest, "--threads");
       const unsigned threads =
-          threads_arg.empty() ? 1
-                              : static_cast<unsigned>(std::stoul(threads_arg));
+          threads_arg.empty() ? 1 : parse_threads(threads_arg, "--threads");
       const std::string trace_path = take_flag(rest, "--trace");
       FaultPlan plan;
       if (rest.size() == 2 && rest[0] == "--plan") {
@@ -1052,9 +1068,9 @@ int main(int argc, char** argv) {
         plan = parse_fault_plan(contents.str());
         plan.validate(n);
       } else if (rest.size() == 2 || rest.size() == 3) {
-        const std::uint64_t seed = std::stoull(rest[0]);
+        const std::uint64_t seed = parse_uint(rest[0], "seed");
         RandomFaultOptions fopts;
-        fopts.crashes = std::stoull(rest[1]);
+        fopts.crashes = parse_uint(rest[1], "crashes");
         if (rest.size() == 3) {
           fopts.loss_p = Rational::parse(rest[2]);
           fopts.lossy_links = n;  // sprinkle loss widely; per-link cap holds

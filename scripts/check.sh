@@ -301,7 +301,9 @@ if [ "$SANITIZE" -eq 1 ]; then
   # paths (crash truncation exercises every simulator early-exit; the
   # chaos sweep stresses them with random plans), and the
   # whole service layer (parser edge cases, the 200+-scenario soak, the
-  # histogram's bucket math at 2^64 extremes, and the faulted exec tier).
+  # histogram's bucket math at 2^64 extremes, and the faulted exec tier),
+  # and the coordination protocols (bit-packed wire words, per-shard
+  # harvests folded through the shared run core).
   echo "== sanitize: address,undefined"
   cmake -B build-asan -G Ninja -DPOSTAL_SANITIZE=address,undefined
   cmake --build build-asan --target test_differential test_validator_fuzz \
@@ -309,7 +311,8 @@ if [ "$SANITIZE" -eq 1 ]; then
     test_reliable_bcast test_chaos test_ticks test_event_queue \
     test_tick_differential test_par_machine test_par_differential \
     test_tick_schedule test_svc_workload test_svc_service test_svc_soak \
-    test_svc_percentile test_svc_chaos
+    test_svc_percentile test_svc_chaos test_coord_election \
+    test_coord_consensus test_coord_log
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
   ./build-asan/tests/test_validator
@@ -329,6 +332,9 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-asan/tests/test_svc_soak
   ./build-asan/tests/test_svc_percentile
   ./build-asan/tests/test_svc_chaos
+  ./build-asan/tests/test_coord_election
+  ./build-asan/tests/test_coord_consensus
+  ./build-asan/tests/test_coord_log
 fi
 
 echo "ALL CHECKS PASSED"

@@ -14,6 +14,12 @@ finding, with deliberately different severity (bench/trajectory/README.md):
     Printed as a warning; exits 1 only under --strict. The default
     tolerance is generous on purpose: trajectory numbers are snapshots of
     whatever box committed them, and CI machines vary wildly.
+  * exact-value change -- a bench in EXACT_BENCHES (the coordination
+    benches E26/E27) reports an n, lambda, makespan or non-`_ms` extra
+    field that differs from its baseline, or lacks one the baseline has.
+    Those fields are exact functions of the inputs, so any change is a
+    behaviour change: always a hard failure (exit 1). Re-baseline only
+    with the reason in CHANGES.md.
   * guarded-metric floor -- a metric in GUARDED_METRICS (currently the
     ParMachine bcast_1m speedup at 4 lanes) fell below its floor in the
     *fresh* record. Hard failure only when the fresh record's threads_hw
@@ -28,6 +34,10 @@ import os
 import sys
 
 BAD_VERDICTS = {"MISMATCH", "FAIL"}
+
+# Benches whose non-timing fields are exact functions of their inputs.
+EXACT_BENCHES = {"bench_coord", "bench_log"}
+EXACT_FIELDS = ("n", "lambda", "makespan")
 
 # (bench, extra key) -> (floor, hw threads needed to enforce it hard).
 GUARDED_METRICS = {
@@ -73,6 +83,20 @@ def numeric(value):
         return float(value)
     except (TypeError, ValueError):
         return None
+
+
+def exact_findings(base, fresh):
+    """Yield (field, baseline, fresh) for every exact field that differs."""
+    for field in EXACT_FIELDS:
+        if base.get(field) != fresh.get(field):
+            yield field, base.get(field), fresh.get(field)
+    base_extra = base.get("extra", {})
+    fresh_extra = fresh.get("extra", {})
+    for key in sorted(set(base_extra) | set(fresh_extra)):
+        if key.endswith("_ms"):
+            continue
+        if base_extra.get(key) != fresh_extra.get(key):
+            yield f"extra.{key}", base_extra.get(key), fresh_extra.get(key)
 
 
 def drift_findings(base, fresh, tolerance):
@@ -141,6 +165,11 @@ def main() -> int:
                 regressions.append(
                     f"{name}: verdict regressed from "
                     f"{base_verdict!r} to {fresh_verdict!r}")
+            if name in EXACT_BENCHES:
+                for field, base_value, fresh_value in exact_findings(base, fresh):
+                    regressions.append(
+                        f"{name}.{field}: exact value changed from "
+                        f"{base_value!r} to {fresh_value!r}")
             for field, base_value, fresh_value, ratio in drift_findings(
                     base, fresh, args.tolerance):
                 drifts.append(
@@ -168,7 +197,7 @@ def main() -> int:
 
     print(f"compared {compared} bench(es) against "
           f"{len(baselines)} baseline file(s): "
-          f"{len(regressions)} verdict regression(s), "
+          f"{len(regressions)} verdict/exact regression(s), "
           f"{len(drifts)} perf drift warning(s)")
     if regressions:
         return 1

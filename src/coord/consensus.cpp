@@ -1,10 +1,8 @@
 #include "coord/consensus.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "coord/validator.hpp"
-#include "sim/par_machine.hpp"
 #include "support/error.hpp"
 
 namespace postal::coord {
@@ -48,41 +46,11 @@ Packet make_ack(ProcId sender, std::uint32_t view) {
 // for the within-view repair wave (views are 24-bit, so no collision).
 constexpr std::uint64_t kRepairBit = 1ULL << 40;
 
-// Sharded runner factory (the election.cpp pattern): per-rank results
-// harvested on reclaim, written once each because every rank's handlers
-// run on exactly one shard.
-class ConsensusFactory final : public ShardProtocolFactory {
- public:
-  ConsensusFactory(const PostalParams& params, const ConsensusOptions& options)
-      : params_(params), options_(options) {
-    harvest_.decisions.resize(params.n());
-    harvest_.logs.resize(params.n());
-  }
-
-  [[nodiscard]] std::unique_ptr<Protocol> make(std::uint32_t /*shard*/,
-                                               std::uint32_t /*shards*/) override {
-    return std::make_unique<ConsensusProtocol>(params_, options_);
-  }
-
-  void reclaim(std::uint32_t /*shard*/,
-               std::unique_ptr<Protocol> protocol) override {
-    static_cast<const ConsensusProtocol&>(*protocol).harvest(harvest_);
-  }
-
-  [[nodiscard]] ConsensusHarvest& harvest() noexcept { return harvest_; }
-
- private:
-  const PostalParams& params_;
-  const ConsensusOptions& options_;
-  ConsensusHarvest harvest_;
-};
-
 }  // namespace
 
 ConsensusProtocol::ConsensusProtocol(const PostalParams& params,
                                      const ConsensusOptions& options)
     : n_(params.n()),
-      lambda_(params.lambda()),
       fib_(params.lambda()),
       options_(options),
       state_(params.n()) {
@@ -102,17 +70,8 @@ ConsensusProtocol::ConsensusProtocol(const PostalParams& params,
   // completed: anyone still silent was orphaned by a dead relay (or the
   // link ate a message) and gets the proposal again, point-to-point.
   const Rational fn = n_ >= 2 ? fib_.f(n_) : Rational(0);
-  repair_after_ = fn + lambda_ * Rational(2) +
+  repair_after_ = fn + params.lambda() * Rational(2) +
                   Rational(static_cast<std::int64_t>(n_)) + options_.timeout_slack;
-}
-
-Rational ConsensusProtocol::do_send(MachineContext& ctx, ProcId dst,
-                                    const Packet& packet) {
-  ProcState& st = state_[ctx.self()];
-  const Rational start = rmax(ctx.now(), st.port_free);
-  st.port_free = start + Rational(1);
-  ctx.send(dst, packet);
-  return start;
 }
 
 void ConsensusProtocol::decide(MachineContext& ctx, std::uint32_t value,
@@ -130,26 +89,16 @@ void ConsensusProtocol::decide(MachineContext& ctx, std::uint32_t value,
 
 void ConsensusProtocol::relay_range(MachineContext& ctx, bool commit,
                                     std::uint32_t view, std::uint32_t value,
-                                    std::uint64_t renamed, std::uint64_t hi) {
-  // Algorithm BCAST's generalized-Fibonacci splits of the renamed range
-  // [renamed, hi) rooted at leader_of(view) (the reliable_bcast loop,
-  // re-rooted per view by the (r - leader) mod n renaming).
-  const ProcId leader = leader_of(view);
-  const Wire kind = commit ? Wire::kCommit : Wire::kPropose;
-  std::uint64_t count = hi - renamed;
-  while (count >= 2) {
-    const std::uint64_t j = fib_.bcast_split(count);
-    const std::uint64_t target = renamed + j;
-    const ProcId dst = static_cast<ProcId>((target + leader) % n_);
-    if (commit) {
-      ++counters_.commit_relays;
-    } else {
-      ++counters_.proposal_relays;
-    }
-    do_send(ctx, dst, make_tree(kind, ctx.self(), view, value, hi));
-    hi = target;  // the holder keeps [renamed, renamed + j)
-    count = j;
-  }
+                                    std::uint64_t hi) {
+  // The member ring is every rank 0..n-1, re-rooted per view at its leader
+  // (who renames to 0 and so relays the whole ring [0, n)).
+  relay_fib(fib_, n_, leader_of(view), ctx.self(), hi,
+            [&](std::uint64_t dst, std::uint64_t child_hi) {
+              ++(commit ? counters_.commit_relays : counters_.proposal_relays);
+              ctx.send(static_cast<ProcId>(dst),
+                       make_tree(commit ? Wire::kCommit : Wire::kPropose,
+                                 ctx.self(), view, value, child_hi));
+            });
 }
 
 void ConsensusProtocol::begin_collect(MachineContext& ctx, std::uint32_t view) {
@@ -183,7 +132,7 @@ void ConsensusProtocol::propose(MachineContext& ctx) {
   st.acked.assign(n_, 0);
   st.acked[ctx.self()] = 1;
   st.ack_count = 1;
-  relay_range(ctx, /*commit=*/false, view, st.chosen, 0, n_);
+  relay_range(ctx, /*commit=*/false, view, st.chosen, n_);
   ctx.set_timer(repair_after_, kRepairBit | view);
 }
 
@@ -198,9 +147,9 @@ void ConsensusProtocol::enter_view(MachineContext& ctx, std::uint32_t view) {
     begin_collect(ctx, view);
   } else {
     ++counters_.view_changes_sent;
-    do_send(ctx, leader,
-            make_vc(ctx.self(), view, st.has_accepted, st.accepted_view,
-                    st.accepted_value));
+    ctx.send(leader,
+             make_vc(ctx.self(), view, st.has_accepted, st.accepted_view,
+                     st.accepted_value));
   }
   if (view + 1 < options_.max_views) {
     const Rational next =
@@ -235,11 +184,9 @@ void ConsensusProtocol::on_receive(MachineContext& ctx, const Packet& packet) {
         // Heal a straggler: a direct COMMIT in the view's renaming, with a
         // singleton range so the recipient relays nothing.
         ++counters_.heal_replies;
-        const std::uint64_t renamed =
-            (static_cast<std::uint64_t>(sender) + n_ - leader_of(view)) % n_;
-        do_send(ctx, sender,
-                make_tree(Wire::kCommit, ctx.self(), view, st.dec_value,
-                          renamed + 1));
+        const std::uint64_t renamed = ring_rename(sender, leader_of(view), n_);
+        ctx.send(sender,
+                 make_tree(Wire::kCommit, ctx.self(), view, st.dec_value, renamed + 1));
         return;
       }
       if (leader_of(view) != ctx.self()) return;  // misrouted
@@ -261,16 +208,14 @@ void ConsensusProtocol::on_receive(MachineContext& ctx, const Packet& packet) {
     case Wire::kPropose: {
       const auto value = static_cast<std::uint32_t>(packet.ctl_b & 0xffffffffULL);
       const std::uint64_t hi = packet.ctl_b >> 32;
-      const std::uint64_t renamed =
-          (static_cast<std::uint64_t>(ctx.self()) + n_ - leader_of(view)) % n_;
-      relay_range(ctx, /*commit=*/false, view, value, renamed, hi);
+      relay_range(ctx, /*commit=*/false, view, value, hi);
       if (!st.decided && view >= st.promised) {
         st.promised = view;
         st.has_accepted = true;
         st.accepted_view = view;
         st.accepted_value = value;
         ++counters_.acks_sent;
-        do_send(ctx, leader_of(view), make_ack(ctx.self(), view));
+        ctx.send(leader_of(view), make_ack(ctx.self(), view));
       }
       break;
     }
@@ -287,7 +232,7 @@ void ConsensusProtocol::on_receive(MachineContext& ctx, const Packet& packet) {
         // down the same tree.
         decide(ctx, st.chosen, view);
         ++counters_.commits;
-        relay_range(ctx, /*commit=*/true, view, st.chosen, 0, n_);
+        relay_range(ctx, /*commit=*/true, view, st.chosen, n_);
       }
       break;
     }
@@ -296,9 +241,7 @@ void ConsensusProtocol::on_receive(MachineContext& ctx, const Packet& packet) {
       const std::uint64_t hi = packet.ctl_b >> 32;
       if (st.decided) return;  // duplicates carry the same value (agreement)
       decide(ctx, value, view);
-      const std::uint64_t renamed =
-          (static_cast<std::uint64_t>(ctx.self()) + n_ - leader_of(view)) % n_;
-      relay_range(ctx, /*commit=*/true, view, value, renamed, hi);
+      relay_range(ctx, /*commit=*/true, view, value, hi);
       break;
     }
   }
@@ -314,10 +257,8 @@ void ConsensusProtocol::on_timer(MachineContext& ctx, std::uint64_t token) {
     for (ProcId p = 0; p < n_; ++p) {
       if (p == ctx.self() || st.acked[p] != 0) continue;
       ++counters_.proposal_repairs;
-      const std::uint64_t renamed =
-          (static_cast<std::uint64_t>(p) + n_ - leader_of(view)) % n_;
-      do_send(ctx, p,
-              make_tree(Wire::kPropose, ctx.self(), view, st.chosen, renamed + 1));
+      const std::uint64_t renamed = ring_rename(p, leader_of(view), n_);
+      ctx.send(p, make_tree(Wire::kPropose, ctx.self(), view, st.chosen, renamed + 1));
     }
     return;
   }
@@ -337,7 +278,7 @@ void ConsensusProtocol::harvest(ConsensusHarvest& out) const {
   for (std::uint64_t r = 0; r < n_; ++r) {
     const ProcState& st = state_[r];
     if (!st.started) continue;  // another shard's rank
-    out.decisions[r] =
+    out.ranks[r] =
         RankDecision{true, st.decided, st.dec_value, st.dec_view, st.dec_at};
     out.logs[r] = st.log;
   }
@@ -370,53 +311,29 @@ ConsensusTiming derive_consensus_timing(const PostalParams& params,
                     Rational(4 * static_cast<std::int64_t>(n)) +
                     options.timeout_slack * Rational(2);
   }
-  std::int64_t loss_budget = 0;
-  Rational last_disturbance{0};
-  if (plan != nullptr) {
-    for (const CrashFault& c : plan->crashes) {
-      last_disturbance = rmax(last_disturbance, c.time);
-    }
-    for (const LatencySpike& s : plan->spikes) {
-      last_disturbance = rmax(last_disturbance, s.until + s.extra);
-    }
-    for (const LinkLoss& l : plan->losses) {
-      if (l.p > Rational(0)) {
-        if (l.max_losses == 0) t.bounded_losses = false;
-        loss_budget += static_cast<std::int64_t>(
-            std::min<std::uint64_t>(l.max_losses, 64));
-      }
-    }
-  }
+  const PlanDisturbance d = scan_plan(plan);
+  t.bounded_losses = d.bounded_losses;
   // Views burned while disturbances are still landing, plus one per eaten
   // message, plus a full leader rotation (within n consecutive clean views
   // some live rank leads: either a quorum of undecided ranks makes
   // progress or a decided leader heals its callers), plus slack.
-  const std::int64_t disturbed =
-      (last_disturbance / t.view_length).ceil() + 1;
+  const std::int64_t disturbed = (d.last / t.view_length).ceil() + 1;
   const std::int64_t rotation =
       static_cast<std::int64_t>(std::min<std::uint64_t>(n, 64));
-  const std::int64_t views = disturbed + loss_budget + rotation + 4;
+  const std::int64_t views = disturbed + d.loss_budget + rotation + 4;
   t.min_views = static_cast<std::uint32_t>(
       std::min<std::int64_t>(views, (1LL << 24) - 1));
   return t;
 }
 
-// The fault-free reference: the decision latency of the same resolved
-// options with no plan attached, used for the recovery_time a chaos run
-// reports (bench_coord's trajectory quantity).
-Rational fault_free_latency(const PostalParams& params,
-                            const ConsensusOptions& options) {
-  Machine machine(params, /*messages=*/1);
-  machine.set_time_path(options.time_path);
-  ConsensusProtocol protocol(params, options);
-  static_cast<void>(machine.run(protocol));
-  ConsensusHarvest harvest;
-  harvest.decisions.resize(params.n());
-  harvest.logs.resize(params.n());
-  protocol.harvest(harvest);
+// The latest decision time among the ranks not in `crashed` (sorted).
+Rational last_decide(const std::vector<RankDecision>& decisions,
+                     const std::vector<ProcId>& crashed) {
   Rational latest{0};
-  for (const RankDecision& d : harvest.decisions) {
-    if (d.decided) latest = rmax(latest, d.at);
+  for (ProcId p = 0; p < decisions.size(); ++p) {
+    if (decisions[p].decided && !std::binary_search(crashed.begin(), crashed.end(), p)) {
+      latest = rmax(latest, decisions[p].at);
+    }
   }
   return latest;
 }
@@ -437,39 +354,9 @@ ConsensusReport run_consensus(const PostalParams& params, const FaultPlan* plan,
                               const ConsensusOptions& options) {
   ConsensusReport report;
   report.options = resolve_consensus_options(params, plan, options);
-  const std::uint64_t n = params.n();
-  report.quorum = static_cast<std::uint32_t>(n / 2 + 1);
-
-  ParMachine machine(params, /*messages=*/1);
-  machine.set_time_path(report.options.time_path);
-  machine.set_threads(report.options.threads == 0 ? 1 : report.options.threads);
-  if (plan != nullptr) machine.attach_faults(*plan);
-  ConsensusFactory factory(params, report.options);
-  report.result = machine.run(factory);
-  report.counters = factory.harvest().counters;
-  report.decisions = std::move(factory.harvest().decisions);
-
-  for (std::uint64_t r = 0; r < n; ++r) {
-    for (const ConsensusEvent& e : factory.harvest().logs[r]) {
-      report.events.push_back(e);
-    }
-  }
-  std::stable_sort(report.events.begin(), report.events.end(),
-                   [](const ConsensusEvent& a, const ConsensusEvent& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.rank < b.rank;
-                   });
-
-  std::vector<std::uint8_t> crashed(n, 0);
-  if (plan != nullptr) {
-    for (const CrashFault& c : plan->crashes) {
-      if (c.proc < n && crashed[c.proc] == 0) {
-        crashed[c.proc] = 1;
-        report.crashed.push_back(c.proc);
-      }
-    }
-    std::sort(report.crashed.begin(), report.crashed.end());
-  }
+  report.quorum = static_cast<std::uint32_t>(params.n() / 2 + 1);
+  report.decisions =
+      run_sharded<ConsensusProtocol, ConsensusHarvest>(report, params, plan);
 
   const ConsensusTiming timing =
       derive_consensus_timing(params, plan, report.options);
@@ -481,29 +368,18 @@ ConsensusReport run_consensus(const PostalParams& params, const FaultPlan* plan,
     report.views_used = std::max(report.views_used, e.view);
   }
 
-  report.decision_latency = Rational(0);
-  for (ProcId p = 0; p < n; ++p) {
-    if (crashed[p] != 0) continue;
-    const RankDecision& d = report.decisions[p];
-    if (d.started && d.decided) {
-      report.decision_latency = rmax(report.decision_latency, d.at);
-    }
+  report.decision_latency = last_decide(report.decisions, report.crashed);
+  // The fault-free reference for recovery_time (bench_coord's trajectory
+  // quantity): the same resolved options with no plan attached.
+  report.baseline = report.decision_latency;
+  if (plan != nullptr && !plan->empty()) {
+    const ConsensusHarvest reference =
+        run_reference<ConsensusProtocol, ConsensusHarvest>(params, report.options);
+    report.baseline = last_decide(reference.ranks, {});
   }
-  report.baseline = (plan == nullptr || plan->empty())
-                        ? report.decision_latency
-                        : fault_free_latency(params, report.options);
   report.recovery_time = report.decision_latency > report.baseline
                              ? report.decision_latency - report.baseline
                              : Rational(0);
-
-  ValidatorOptions vopts;
-  vopts.messages = 1;
-  vopts.preholds = true;  // control-plane traffic: no payload causality
-  vopts.fifo_receive = true;
-  vopts.require_coverage = false;
-  vopts.time_path = report.options.time_path;
-  if (plan != nullptr) vopts.crashes = plan->crashes;
-  report.validation = validate_schedule(report.result.schedule, params, vopts);
 
   report.check = check_consensus(report, params, plan);
   return report;

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "coord/check.hpp"
+#include "coord/run_core.hpp"
 #include "faults/fault_plan.hpp"
 #include "model/genfib.hpp"
 #include "sim/machine.hpp"
@@ -109,11 +110,7 @@ struct RankDecision {
 };
 
 /// Harvested per-run protocol state (per-shard instances compose).
-struct ConsensusHarvest {
-  ConsensusCounters counters;
-  std::vector<RankDecision> decisions;            ///< sized n
-  std::vector<std::vector<ConsensusEvent>> logs;  ///< per rank, chronological
-};
+using ConsensusHarvest = RunHarvest<ConsensusCounters, RankDecision, ConsensusEvent>;
 
 /// The event-driven view-change consensus protocol. One instance drives
 /// one run; with ParMachine, one instance per shard.
@@ -154,7 +151,6 @@ class ConsensusProtocol final : public Protocol {
     std::uint32_t chosen = 0;
     std::uint32_t ack_count = 0;
     std::vector<std::uint8_t> acked;  ///< per-rank ACK bitmap (repair wave)
-    Rational port_free;               ///< local mirror of the output port
     std::vector<ConsensusEvent> log;
   };
 
@@ -164,20 +160,18 @@ class ConsensusProtocol final : public Protocol {
   [[nodiscard]] std::uint32_t client_value(ProcId rank) const {
     return options_.value_base + static_cast<std::uint32_t>(rank);
   }
-  Rational do_send(MachineContext& ctx, ProcId dst, const Packet& packet);
   /// Begin view `view` on an undecided rank: promise, send/collect the
   /// VIEW-CHANGE, and arm the next view's timer.
   void enter_view(MachineContext& ctx, std::uint32_t view);
   void begin_collect(MachineContext& ctx, std::uint32_t view);
   void propose(MachineContext& ctx);
-  /// Fibonacci-tree sends of a PROPOSE/COMMIT over renamed range
-  /// [renamed, hi) rooted at leader_of(view).
+  /// Fibonacci-tree sends of a PROPOSE/COMMIT over this rank's renamed
+  /// range [self - leader_of(view) mod n, hi).
   void relay_range(MachineContext& ctx, bool commit, std::uint32_t view,
-                   std::uint32_t value, std::uint64_t renamed, std::uint64_t hi);
+                   std::uint32_t value, std::uint64_t hi);
   void decide(MachineContext& ctx, std::uint32_t value, std::uint32_t view);
 
   std::uint64_t n_;
-  Rational lambda_;
   GenFib fib_;
   ConsensusOptions options_;
   std::uint32_t quorum_;

@@ -1,11 +1,9 @@
 #include "coord/election.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "coord/validator.hpp"
 #include "oracle/oracle.hpp"
-#include "sim/par_machine.hpp"
 #include "support/error.hpp"
 
 namespace postal::coord {
@@ -41,45 +39,15 @@ std::uint64_t make_token(Tok kind, std::uint64_t gen) {
   return (static_cast<std::uint64_t>(kind) << 56) | (gen & ((1ULL << 56) - 1));
 }
 
-// Sharded runner factory: one ElectionProtocol per shard, per-rank results
-// harvested on reclaim. Each rank's handlers run only on its owner shard,
-// so the per-shard harvests write disjoint slots and the counter sums
-// equal the sequential totals.
-class ElectionFactory final : public ShardProtocolFactory {
- public:
-  ElectionFactory(const PostalParams& params, const ElectionOptions& options)
-      : params_(params), options_(options) {
-    harvest_.beliefs.resize(params.n());
-    harvest_.logs.resize(params.n());
-  }
-
-  [[nodiscard]] std::unique_ptr<Protocol> make(std::uint32_t /*shard*/,
-                                               std::uint32_t /*shards*/) override {
-    return std::make_unique<ElectionProtocol>(params_, options_);
-  }
-
-  void reclaim(std::uint32_t /*shard*/,
-               std::unique_ptr<Protocol> protocol) override {
-    static_cast<const ElectionProtocol&>(*protocol).harvest(harvest_);
-  }
-
-  [[nodiscard]] ElectionHarvest& harvest() noexcept { return harvest_; }
-
- private:
-  const PostalParams& params_;
-  const ElectionOptions& options_;
-  ElectionHarvest harvest_;
-};
-
 // Derived timing shared by resolve_election_options and the runner's
 // settle judgment, so "the horizon we derive" and "the horizon we accept
 // as settled" are the same quantity by construction.
 struct ElectionTiming {
   Rational period;
   Rational watchdog;
-  Rational margin;            ///< settle margin past the last disturbance
-  Rational last_disturbance;  ///< latest crash / spike influence
-  bool bounded_losses = true; ///< every lossy link has a finite budget
+  Rational probe_wait;
+  Rational margin;  ///< settle margin past the last disturbance
+  PlanDisturbance plan;
 };
 
 ElectionTiming derive_election_timing(const PostalParams& params,
@@ -93,40 +61,28 @@ ElectionTiming derive_election_timing(const PostalParams& params,
     t.period = rmax(lambda * Rational(4),
                     Rational(2 * static_cast<std::int64_t>(n > 0 ? n - 1 : 0)));
   }
+  // Watchdog: miss_threshold silent periods, plus the flight and the
+  // output-port serialization of a full heartbeat round, plus slack.
   t.watchdog = t.period *
                    Rational(static_cast<std::int64_t>(options.miss_threshold)) +
                lambda +
                Rational(static_cast<std::int64_t>(n)) + options.timeout_slack;
-  const Rational probe_wait = Rational(static_cast<std::int64_t>(n)) +
-                              lambda * Rational(2) + Rational(2) +
-                              options.timeout_slack;
+  // Probe window: the candidate serializes up to n - 1 probes, the reply
+  // makes the round trip, and the replier may queue behind its own sends.
+  t.probe_wait = Rational(static_cast<std::int64_t>(n)) + lambda * Rational(2) +
+                 Rational(2) + options.timeout_slack;
   // One full detect-probe-announce round, with port serialization and
   // flight time on both the announcement and the follow-up heartbeat.
-  const Rational round = t.watchdog + probe_wait +
+  const Rational round = t.watchdog + t.probe_wait +
                          Rational(2 * static_cast<std::int64_t>(n)) +
                          lambda * Rational(4);
-  std::int64_t loss_budget = 0;
-  if (plan != nullptr) {
-    for (const CrashFault& c : plan->crashes) {
-      t.last_disturbance = rmax(t.last_disturbance, c.time);
-    }
-    for (const LatencySpike& s : plan->spikes) {
-      t.last_disturbance = rmax(t.last_disturbance, s.until + s.extra);
-    }
-    for (const LinkLoss& l : plan->losses) {
-      if (l.p > Rational(0)) {
-        if (l.max_losses == 0) t.bounded_losses = false;
-        loss_budget += static_cast<std::int64_t>(
-            std::min<std::uint64_t>(l.max_losses, 64));
-      }
-    }
-  }
+  t.plan = scan_plan(plan);
   // Every eaten message can cost at most one spurious round (a missed
   // heartbeat, probe, or victory), and the usurpation chain strictly
   // improves the leader's priority, so it is bounded by n.
   const std::int64_t chain =
       static_cast<std::int64_t>(std::min<std::uint64_t>(n, 64));
-  t.margin = t.watchdog + round * Rational(loss_budget + chain + 2);
+  t.margin = t.watchdog + round * Rational(t.plan.loss_budget + chain + 2);
   return t;
 }
 
@@ -146,23 +102,12 @@ ElectionProtocol::ElectionProtocol(const PostalParams& params,
                  "ElectionProtocol: miss_threshold must be >= 1");
   POSTAL_REQUIRE(options_.timeout_slack >= Rational(0),
                  "ElectionProtocol: timeout_slack must be >= 0");
-  period_ = options_.heartbeat_period;
-  if (period_ == Rational(0)) {
-    period_ = rmax(lambda_ * Rational(4),
-                   Rational(2 * static_cast<std::int64_t>(n_ > 0 ? n_ - 1 : 0)));
-  }
+  const ElectionTiming timing = derive_election_timing(params, nullptr, options_);
+  period_ = timing.period;
   POSTAL_REQUIRE(period_ > Rational(0),
                  "ElectionProtocol: heartbeat_period must be > 0");
-  // Watchdog: miss_threshold silent periods, plus the flight and the
-  // output-port serialization of a full heartbeat round, plus slack.
-  watchdog_ = period_ *
-                  Rational(static_cast<std::int64_t>(options_.miss_threshold)) +
-              lambda_ +
-              Rational(static_cast<std::int64_t>(n_)) + options_.timeout_slack;
-  // Probe window: the candidate serializes up to n - 1 probes, the reply
-  // makes the round trip, and the replier may queue behind its own sends.
-  probe_wait_ = Rational(static_cast<std::int64_t>(n_)) + lambda_ * Rational(2) +
-                Rational(2) + options_.timeout_slack;
+  watchdog_ = timing.watchdog;
+  probe_wait_ = timing.probe_wait;
   if (options_.horizon == Rational(0)) {
     // Standalone default (the runner derives a plan-aware horizon): room
     // for one detection + election round past the watchdog.
@@ -181,17 +126,6 @@ bool ElectionProtocol::better(ProcId a, ProcId b) const {
   // kOracleDepth: closer to the BCAST root wins; ties to the smaller rank.
   if (depth_[a] != depth_[b]) return depth_[a] < depth_[b];
   return a < b;
-}
-
-Rational ElectionProtocol::do_send(MachineContext& ctx, ProcId dst,
-                                   const Packet& packet) {
-  // Mirror the machine's output-port FIFO so timers can be armed relative
-  // to the exact transmission start (the reliable_bcast idiom).
-  ProcState& st = state_[ctx.self()];
-  const Rational start = rmax(ctx.now(), st.port_free);
-  st.port_free = start + Rational(1);
-  ctx.send(dst, packet);
-  return start;
 }
 
 void ElectionProtocol::arm_at(MachineContext& ctx, const Rational& at,
@@ -217,7 +151,7 @@ void ElectionProtocol::heartbeat_round(MachineContext& ctx) {
   for (ProcId p = 0; p < n_; ++p) {
     if (p == ctx.self()) continue;
     ++counters_.heartbeats_sent;
-    do_send(ctx, p, make_packet(Wire::kHeartbeat, ctx.self(), st.term, st.leader));
+    ctx.send(p, make_packet(Wire::kHeartbeat, ctx.self(), st.term, st.leader));
   }
   arm_at(ctx, ctx.now() + period_, make_token(Tok::kHeartbeat, st.hb_gen));
 }
@@ -230,7 +164,7 @@ void ElectionProtocol::begin_candidacy(MachineContext& ctx, bool takeover) {
   for (ProcId p = 0; p < n_; ++p) {
     if (p == ctx.self() || !better(p, ctx.self())) continue;
     ++counters_.probes_sent;
-    do_send(ctx, p, make_packet(Wire::kProbe, ctx.self(), st.term, st.leader));
+    ctx.send(p, make_packet(Wire::kProbe, ctx.self(), st.term, st.leader));
     probed = true;
   }
   if (!probed) {
@@ -254,7 +188,7 @@ void ElectionProtocol::declare_victory(MachineContext& ctx) {
   for (ProcId p = 0; p < n_; ++p) {
     if (p == ctx.self()) continue;
     ++counters_.victories_sent;
-    do_send(ctx, p, make_packet(Wire::kVictory, ctx.self(), st.term, st.leader));
+    ctx.send(p, make_packet(Wire::kVictory, ctx.self(), st.term, st.leader));
   }
   // The victory round doubles as the first heartbeat round.
   arm_at(ctx, ctx.now() + period_, make_token(Tok::kHeartbeat, st.hb_gen));
@@ -324,12 +258,10 @@ void ElectionProtocol::on_receive(MachineContext& ctx, const Packet& packet) {
     case Wire::kProbe:
       if (st.leader == ctx.self()) {
         ++counters_.victories_sent;
-        do_send(ctx, sender,
-                make_packet(Wire::kVictory, ctx.self(), st.term, st.leader));
+        ctx.send(sender, make_packet(Wire::kVictory, ctx.self(), st.term, st.leader));
       } else {
         ++counters_.alives_sent;
-        do_send(ctx, sender,
-                make_packet(Wire::kAlive, ctx.self(), st.term, st.leader));
+        ctx.send(sender, make_packet(Wire::kAlive, ctx.self(), st.term, st.leader));
       }
       break;
     case Wire::kAlive:
@@ -382,7 +314,7 @@ void ElectionProtocol::harvest(ElectionHarvest& out) const {
   for (std::uint64_t r = 0; r < n_; ++r) {
     const ProcState& st = state_[r];
     if (!st.started) continue;  // another shard's rank
-    out.beliefs[r] = RankBelief{true, st.leader, st.term};
+    out.ranks[r] = RankBelief{true, st.leader, st.term};
     out.logs[r] = st.log;
   }
 }
@@ -394,8 +326,7 @@ ElectionOptions resolve_election_options(const PostalParams& params,
   const ElectionTiming timing = derive_election_timing(params, plan, resolved);
   resolved.heartbeat_period = timing.period;
   if (resolved.horizon == Rational(0)) {
-    resolved.horizon = timing.last_disturbance + timing.margin +
-                       timing.period * Rational(2);
+    resolved.horizon = timing.plan.last + timing.margin + timing.period * Rational(2);
   }
   return resolved;
 }
@@ -404,50 +335,20 @@ ElectionReport run_election(const PostalParams& params, const FaultPlan* plan,
                             const ElectionOptions& options) {
   ElectionReport report;
   report.options = resolve_election_options(params, plan, options);
-  const std::uint64_t n = params.n();
-
-  ParMachine machine(params, /*messages=*/1);
-  machine.set_time_path(report.options.time_path);
-  machine.set_threads(report.options.threads == 0 ? 1 : report.options.threads);
-  if (plan != nullptr) machine.attach_faults(*plan);
-  ElectionFactory factory(params, report.options);
-  report.result = machine.run(factory);
-  report.counters = factory.harvest().counters;
-  report.beliefs = std::move(factory.harvest().beliefs);
-
-  // Canonical event order: by time, ties by rank, preserving each rank's
-  // chronological log order -- identical at every thread count.
-  for (std::uint64_t r = 0; r < n; ++r) {
-    for (const ElectionEvent& e : factory.harvest().logs[r]) {
-      report.events.push_back(e);
-    }
-  }
-  std::stable_sort(report.events.begin(), report.events.end(),
-                   [](const ElectionEvent& a, const ElectionEvent& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.rank < b.rank;
-                   });
+  report.beliefs = run_sharded<ElectionProtocol, ElectionHarvest>(report, params, plan);
+  const auto alive = [&report](ProcId p) {
+    return !std::binary_search(report.crashed.begin(), report.crashed.end(), p);
+  };
 
   const ElectionTiming timing =
       derive_election_timing(params, plan, report.options);
   report.watchdog = timing.watchdog;
-
-  std::vector<std::uint8_t> crashed(n, 0);
-  if (plan != nullptr) {
-    for (const CrashFault& c : plan->crashes) {
-      if (c.proc < n && crashed[c.proc] == 0) {
-        crashed[c.proc] = 1;
-        report.crashed.push_back(c.proc);
-      }
-    }
-    std::sort(report.crashed.begin(), report.crashed.end());
-  }
-  report.settle_time = timing.last_disturbance + timing.margin;
+  report.settle_time = timing.plan.last + timing.margin;
   report.settled =
-      timing.bounded_losses && report.settle_time <= report.options.horizon;
+      timing.plan.bounded_losses && report.settle_time <= report.options.horizon;
 
-  for (ProcId p = 0; p < n; ++p) {
-    if (crashed[p] == 0 && report.beliefs[p].started) {
+  for (ProcId p = 0; p < params.n(); ++p) {
+    if (alive(p) && report.beliefs[p].started) {
       report.leader = report.beliefs[p].leader;
       break;
     }
@@ -465,7 +366,7 @@ ElectionReport run_election(const PostalParams& params, const FaultPlan* plan,
     const bool settles_leader = (e.kind == ElectionEvent::Kind::kAdopt ||
                                  e.kind == ElectionEvent::Kind::kVictory) &&
                                 e.leader == report.leader;
-    if (settles_leader && e.rank < n && crashed[e.rank] == 0) {
+    if (settles_leader && e.rank < params.n() && alive(e.rank)) {
       report.elected_at = rmax(report.elected_at, e.time);
     }
   }
@@ -479,15 +380,6 @@ ElectionReport run_election(const PostalParams& params, const FaultPlan* plan,
       }
     }
   }
-
-  ValidatorOptions vopts;
-  vopts.messages = 1;
-  vopts.preholds = true;  // control-plane traffic: no payload causality
-  vopts.fifo_receive = true;
-  vopts.require_coverage = false;
-  vopts.time_path = report.options.time_path;
-  if (plan != nullptr) vopts.crashes = plan->crashes;
-  report.validation = validate_schedule(report.result.schedule, params, vopts);
 
   report.check = check_election(report, params, plan);
   return report;

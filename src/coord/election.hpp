@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "coord/check.hpp"
+#include "coord/run_core.hpp"
 #include "faults/fault_plan.hpp"
 #include "sim/machine.hpp"
 #include "sim/validator.hpp"
@@ -108,11 +109,7 @@ struct RankBelief {
 
 /// Harvested per-run protocol state; ElectionProtocol::harvest fills the
 /// slots of the ranks the instance ran (per-shard instances compose).
-struct ElectionHarvest {
-  ElectionCounters counters;
-  std::vector<RankBelief> beliefs;               ///< sized n
-  std::vector<std::vector<ElectionEvent>> logs;  ///< per rank, chronological
-};
+using ElectionHarvest = RunHarvest<ElectionCounters, RankBelief, ElectionEvent>;
 
 /// The event-driven election protocol. One instance drives one run; with
 /// ParMachine, one instance per shard (handlers only touch per-rank state
@@ -139,12 +136,10 @@ class ElectionProtocol final : public Protocol {
     std::uint64_t watchdog_gen = 0;  ///< stamps watchdog timers (no cancel API)
     std::uint64_t probe_gen = 0;     ///< stamps probe-window timers
     std::uint64_t hb_gen = 0;        ///< stamps heartbeat timers
-    Rational port_free;              ///< local mirror of the output port
     std::vector<ElectionEvent> log;
   };
 
   [[nodiscard]] bool better(ProcId a, ProcId b) const;
-  Rational do_send(MachineContext& ctx, ProcId dst, const Packet& packet);
   /// Arm a timer to fire at absolute time `at` unless at >= horizon.
   void arm_at(MachineContext& ctx, const Rational& at, std::uint64_t token);
   void arm_watchdog(MachineContext& ctx);

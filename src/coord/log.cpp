@@ -1,10 +1,8 @@
 #include "coord/log.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "coord/validator.hpp"
-#include "sim/par_machine.hpp"
 #include "support/error.hpp"
 
 namespace postal::coord {
@@ -93,35 +91,6 @@ Rational port_budget(std::uint64_t n, std::uint64_t slots) {
       static_cast<std::int64_t>((slots + 2) * (n + slots)));
 }
 
-// Sharded runner factory (the consensus.cpp pattern): per-rank results
-// harvested on reclaim, written once each because every rank's handlers
-// run on exactly one shard.
-class LogFactory final : public ShardProtocolFactory {
- public:
-  LogFactory(const PostalParams& params, const LogOptions& options)
-      : params_(params), options_(options) {
-    harvest_.ranks.resize(params.n());
-    harvest_.logs.resize(params.n());
-  }
-
-  [[nodiscard]] std::unique_ptr<Protocol> make(std::uint32_t /*shard*/,
-                                               std::uint32_t /*shards*/) override {
-    return std::make_unique<LogProtocol>(params_, options_);
-  }
-
-  void reclaim(std::uint32_t /*shard*/,
-               std::unique_ptr<Protocol> protocol) override {
-    static_cast<const LogProtocol&>(*protocol).harvest(harvest_);
-  }
-
-  [[nodiscard]] LogHarvest& harvest() noexcept { return harvest_; }
-
- private:
-  const PostalParams& params_;
-  const LogOptions& options_;
-  LogHarvest harvest_;
-};
-
 // The expected toggle directions: requests applied in order to the
 // initial full membership. Returns one flag per request (true = add);
 // `members` is left holding the expected final member set.
@@ -154,7 +123,6 @@ std::vector<std::uint8_t> expected_toggles(std::uint64_t n,
 
 LogProtocol::LogProtocol(const PostalParams& params, const LogOptions& options)
     : n_(params.n()),
-      lambda_(params.lambda()),
       fib_(params.lambda()),
       options_(options),
       total_slots_(options.commands + options.reconfig.size()),
@@ -195,8 +163,8 @@ LogProtocol::LogProtocol(const PostalParams& params, const LogOptions& options)
   // round trip through the serialized ports -- must have completed:
   // anyone still silent was orphaned by a dead relay.
   const Rational fn = n_ >= 2 ? fib_.f(n_) : Rational(0);
-  repair_after_ = fn + lambda_ * Rational(2) + port_budget(n_, total_slots_) +
-                  options_.timeout_slack;
+  repair_after_ = fn + params.lambda() * Rational(2) +
+                  port_budget(n_, total_slots_) + options_.timeout_slack;
 }
 
 const LogProtocol::Config& LogProtocol::config_for(const ProcState& st,
@@ -218,15 +186,6 @@ std::uint64_t LogProtocol::member_index(const Config& cfg, ProcId rank) const {
       std::lower_bound(cfg.members.begin(), cfg.members.end(), rank);
   if (it == cfg.members.end() || *it != rank) return cfg.members.size();
   return static_cast<std::uint64_t>(it - cfg.members.begin());
-}
-
-Rational LogProtocol::do_send(MachineContext& ctx, ProcId dst,
-                              const Packet& packet) {
-  ProcState& st = state_[ctx.self()];
-  const Rational start = rmax(ctx.now(), st.port_free);
-  st.port_free = start + Rational(1);
-  ctx.send(dst, packet);
-  return start;
 }
 
 void LogProtocol::log_event(ProcState& st, const Rational& now,
@@ -299,30 +258,19 @@ void LogProtocol::apply_config(MachineContext& ctx, std::uint32_t value) {
 void LogProtocol::relay_range(MachineContext& ctx, const Config& cfg,
                               bool commit, std::uint32_t view,
                               std::uint32_t slot, std::uint32_t value,
-                              std::uint64_t renamed, std::uint64_t hi) {
-  // Algorithm BCAST's generalized-Fibonacci splits of the renamed member
-  // range [renamed, hi) rooted at the view's leader (the consensus relay
-  // loop over the view's configuration instead of all n ranks). hi is
-  // clamped defensively: configurations can disagree transiently around
-  // an activation view, and a scrambled relay is safe -- commits carry
-  // decided values and proposals are re-checked per receiver.
+                              std::uint64_t idx, std::uint64_t hi) {
+  // The member ring is the view's configuration, rooted at its leader. A
+  // transiently scrambled relay around an activation view is safe: commits
+  // carry decided values and proposals are re-checked per receiver.
   const std::uint64_t m = cfg.members.size();
-  const std::uint64_t leader_idx = view % m;
-  if (hi > m) hi = m;
-  while (hi > renamed && hi - renamed >= 2) {
-    const std::uint64_t j = fib_.bcast_split(hi - renamed);
-    const std::uint64_t target = renamed + j;
-    const ProcId dst = cfg.members[(target + leader_idx) % m];
-    if (commit) {
-      ++counters_.commit_relays;
-    } else {
-      ++counters_.proposal_relays;
-    }
-    do_send(ctx, dst,
-            make_tree(commit ? Wire::kCommit : Wire::kPropose, ctx.self(),
-                      view, slot, value, hi));
-    hi = target;  // the holder keeps [renamed, renamed + j)
-  }
+  if (idx >= m) return;  // not a member: nothing to relay
+  relay_fib(fib_, m, view % m, idx, hi,
+            [&](std::uint64_t child, std::uint64_t child_hi) {
+              ++(commit ? counters_.commit_relays : counters_.proposal_relays);
+              ctx.send(cfg.members[child],
+                       make_tree(commit ? Wire::kCommit : Wire::kPropose,
+                                 ctx.self(), view, slot, value, child_hi));
+            });
 }
 
 void LogProtocol::heal(MachineContext& ctx, ProcId dst,
@@ -332,10 +280,9 @@ void LogProtocol::heal(MachineContext& ctx, ProcId dst,
   ProcState& st = state_[ctx.self()];
   for (std::uint64_t s = their_prefix; s < st.commit_prefix; ++s) {
     ++counters_.catchup_commits;
-    do_send(ctx, dst,
-            make_tree(Wire::kCommit, ctx.self(), view,
-                      static_cast<std::uint32_t>(s), st.slots[s].dec_value,
-                      /*hi=*/0));
+    ctx.send(dst, make_tree(Wire::kCommit, ctx.self(), view,
+                            static_cast<std::uint32_t>(s), st.slots[s].dec_value,
+                            /*hi=*/0));
   }
 }
 
@@ -359,20 +306,17 @@ void LogProtocol::enter_view(MachineContext& ctx, std::uint32_t view) {
       if (sl.has_accepted) ++acc_count;
     }
     ++counters_.view_changes_sent;
-    do_send(ctx, leader, make_vc(ctx.self(), view, st.commit_prefix, acc_count));
+    ctx.send(leader, make_vc(ctx.self(), view, st.commit_prefix, acc_count));
     for (std::uint32_t s = 0; s < total_slots_; ++s) {
       const Slot& sl = st.slots[s];
       if (!sl.has_accepted) continue;
       ++counters_.vc_accs_sent;
-      do_send(ctx, leader,
-              make_vc_acc(ctx.self(), view, sl.accepted_view, s,
-                          sl.accepted_value));
+      ctx.send(leader,
+               make_vc_acc(ctx.self(), view, sl.accepted_view, s, sl.accepted_value));
     }
   }
   if (view + 1 < options_.max_views) {
-    const Rational next =
-        options_.view_length * Rational(static_cast<std::int64_t>(view) + 1);
-    ctx.set_timer(next - ctx.now(), make_token(Tok::kView, view + 1));
+    ctx.set_timer(view_end(view) - ctx.now(), make_token(Tok::kView, view + 1));
   }
 }
 
@@ -496,7 +440,7 @@ void LogProtocol::propose_batch(MachineContext& ctx) {
     st.acked[s].assign(n_, 0);
     st.acked[s][ctx.self()] = 1;
     st.ack_counts[s] = 1;
-    relay_range(ctx, cfg, /*commit=*/false, view, s, value, 0, m);
+    relay_range(ctx, cfg, /*commit=*/false, view, s, value, view % m, m);
   }
   if (any) {
     ctx.set_timer(repair_after_, make_token(Tok::kRepair, view));
@@ -515,8 +459,8 @@ void LogProtocol::commit_slot(MachineContext& ctx, std::uint32_t slot) {
   // value stays chosen -- the next leader's VC-ACCs re-commit it).
   if (st.lease_live && ctx.now() < st.lease_expiry) {
     const Config& cfg = config_for(st, view);
-    relay_range(ctx, cfg, /*commit=*/true, view, slot, value, 0,
-                cfg.members.size());
+    relay_range(ctx, cfg, /*commit=*/true, view, slot, value,
+                view % cfg.members.size(), cfg.members.size());
   }
 }
 
@@ -595,13 +539,8 @@ void LogProtocol::on_receive(MachineContext& ctx, const Packet& packet) {
       const auto value =
           static_cast<std::uint32_t>(packet.ctl_b & 0xffffffffULL);
       const Config& cfg = config_for(st, view);
-      const std::uint64_t idx = member_index(cfg, ctx.self());
-      if (idx < cfg.members.size()) {
-        const std::uint64_t m = cfg.members.size();
-        const std::uint64_t renamed = (idx + m - (view % m)) % m;
-        relay_range(ctx, cfg, /*commit=*/false, view, slot, value, renamed,
-                    aux);
-      }
+      relay_range(ctx, cfg, /*commit=*/false, view, slot, value,
+                  member_index(cfg, ctx.self()), aux);
       if (slot >= total_slots_) return;
       if (view < st.promised) {
         // A deposed leader's write under a stale fencing token.
@@ -623,7 +562,7 @@ void LogProtocol::on_receive(MachineContext& ctx, const Packet& packet) {
         sl.accepted_value = value;
       }
       ++counters_.acks_sent;
-      do_send(ctx, leader_of(cfg, view), make_ack(ctx.self(), view, slot));
+      ctx.send(leader_of(cfg, view), make_ack(ctx.self(), view, slot));
       break;
     }
     case Wire::kAck: {
@@ -649,13 +588,8 @@ void LogProtocol::on_receive(MachineContext& ctx, const Packet& packet) {
       // Relay before deciding: deciding can advance the prefix and apply
       // a config, and the relay must use the sender's tree shape.
       const Config& cfg = config_for(st, view);
-      const std::uint64_t idx = member_index(cfg, ctx.self());
-      if (aux != 0 && idx < cfg.members.size()) {
-        const std::uint64_t m = cfg.members.size();
-        const std::uint64_t renamed = (idx + m - (view % m)) % m;
-        relay_range(ctx, cfg, /*commit=*/true, view, slot, value, renamed,
-                    aux);
-      }
+      relay_range(ctx, cfg, /*commit=*/true, view, slot, value,
+                  member_index(cfg, ctx.self()), aux);
       if (!st.slots[slot].decided) decide(ctx, slot, value, view);
       break;
     }
@@ -664,7 +598,7 @@ void LogProtocol::on_receive(MachineContext& ctx, const Packet& packet) {
       if (view < st.promised) return;  // stale leader: no extension
       st.promised = view;
       ++counters_.renew_acks_sent;
-      do_send(ctx, sender, make_renew(Wire::kRenewAck, ctx.self(), view, seq));
+      ctx.send(sender, make_renew(Wire::kRenewAck, ctx.self(), view, seq));
       break;
     }
     case Wire::kRenewAck: {
@@ -711,9 +645,8 @@ void LogProtocol::on_timer(MachineContext& ctx, std::uint64_t token) {
         for (const ProcId p : cfg.members) {
           if (p == ctx.self() || st.acked[s][p] != 0) continue;
           ++counters_.proposal_repairs;
-          do_send(ctx, p,
-                  make_tree(Wire::kPropose, ctx.self(), view, s,
-                            st.slots[s].accepted_value, /*hi=*/0));
+          ctx.send(p, make_tree(Wire::kPropose, ctx.self(), view, s,
+                                st.slots[s].accepted_value, /*hi=*/0));
         }
       }
       break;
@@ -745,8 +678,7 @@ void LogProtocol::on_timer(MachineContext& ctx, std::uint64_t token) {
       for (const ProcId p : cfg.members) {
         if (p == ctx.self()) continue;
         ++counters_.renews_sent;
-        do_send(ctx, p, make_renew(Wire::kRenew, ctx.self(), view,
-                                   st.renew_seq));
+        ctx.send(p, make_renew(Wire::kRenew, ctx.self(), view, st.renew_seq));
       }
       ctx.set_timer(options_.heartbeat_period, make_token(Tok::kRenew, view));
       break;
@@ -845,23 +777,9 @@ LogTiming derive_log_timing(const PostalParams& params, const FaultPlan* plan,
                     Rational(2 * static_cast<std::int64_t>(n)) +
                     options.timeout_slack * Rational(2);
   }
-  std::int64_t loss_budget = 0;
-  Rational last_disturbance{0};
-  if (plan != nullptr) {
-    for (const CrashFault& c : plan->crashes) {
-      last_disturbance = rmax(last_disturbance, c.time);
-    }
-    for (const LatencySpike& s : plan->spikes) {
-      last_disturbance = rmax(last_disturbance, s.until + s.extra);
-    }
-    for (const LinkLoss& l : plan->losses) {
-      if (l.p > Rational(0)) {
-        if (l.max_losses == 0) t.bounded_losses = false;
-        loss_budget += static_cast<std::int64_t>(
-            std::min<std::uint64_t>(l.max_losses, 64));
-      }
-    }
-  }
+  const PlanDisturbance d = scan_plan(plan);
+  t.bounded_losses = d.bounded_losses;
+  Rational last_disturbance = d.last;
   for (const ReconfigRequest& op : options.reconfig) {
     last_disturbance = rmax(last_disturbance, op.at);
   }
@@ -872,7 +790,7 @@ LogTiming derive_log_timing(const PostalParams& params, const FaultPlan* plan,
   const std::int64_t rotation =
       static_cast<std::int64_t>(std::min<std::uint64_t>(n, 64));
   const std::int64_t views =
-      disturbed + loss_budget + rotation + 4 +
+      disturbed + d.loss_budget + rotation + 4 +
       2 * static_cast<std::int64_t>(options.reconfig.size());
   const std::int64_t cap =
       options.reconfig.empty() ? (1LL << 20) - 1 : (1LL << 14) - 3;
@@ -884,10 +802,10 @@ LogTiming derive_log_timing(const PostalParams& params, const FaultPlan* plan,
 // The last decision among the live members of `final_members`.
 Rational last_final_decide(const std::vector<RankLog>& ranks,
                            const std::vector<ProcId>& final_members,
-                           const std::vector<std::uint8_t>& crashed) {
+                           const std::vector<ProcId>& crashed) {
   Rational latest{0};
   for (const ProcId r : final_members) {
-    if (r < crashed.size() && crashed[r] != 0) continue;
+    if (std::binary_search(crashed.begin(), crashed.end(), r)) continue;
     const RankLog& rl = ranks[r];
     if (!rl.started) continue;
     for (const SlotDecision& sd : rl.slots) {
@@ -895,23 +813,6 @@ Rational last_final_decide(const std::vector<RankLog>& ranks,
     }
   }
   return latest;
-}
-
-// The fault-free reference: the commit latency of the same resolved
-// options with no plan attached (bench_log's trajectory quantity).
-Rational fault_free_latency(const PostalParams& params,
-                            const LogOptions& options,
-                            const std::vector<ProcId>& final_members) {
-  Machine machine(params, /*messages=*/1);
-  machine.set_time_path(options.time_path);
-  LogProtocol protocol(params, options);
-  static_cast<void>(machine.run(protocol));
-  LogHarvest harvest;
-  harvest.ranks.resize(params.n());
-  harvest.logs.resize(params.n());
-  protocol.harvest(harvest);
-  const std::vector<std::uint8_t> crashed(params.n(), 0);
-  return last_final_decide(harvest.ranks, final_members, crashed);
 }
 
 }  // namespace
@@ -944,36 +845,7 @@ LogReport run_log(const PostalParams& params, const FaultPlan* plan,
   static_cast<void>(
       expected_toggles(n, report.options.reconfig, &report.final_members));
 
-  ParMachine machine(params, /*messages=*/1);
-  machine.set_time_path(report.options.time_path);
-  machine.set_threads(report.options.threads == 0 ? 1 : report.options.threads);
-  if (plan != nullptr) machine.attach_faults(*plan);
-  LogFactory factory(params, report.options);
-  report.result = machine.run(factory);
-  report.counters = factory.harvest().counters;
-  report.ranks = std::move(factory.harvest().ranks);
-
-  for (std::uint64_t r = 0; r < n; ++r) {
-    for (const LogEvent& e : factory.harvest().logs[r]) {
-      report.events.push_back(e);
-    }
-  }
-  std::stable_sort(report.events.begin(), report.events.end(),
-                   [](const LogEvent& a, const LogEvent& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.rank < b.rank;
-                   });
-
-  std::vector<std::uint8_t> crashed(n, 0);
-  if (plan != nullptr) {
-    for (const CrashFault& c : plan->crashes) {
-      if (c.proc < n && crashed[c.proc] == 0) {
-        crashed[c.proc] = 1;
-        report.crashed.push_back(c.proc);
-      }
-    }
-    std::sort(report.crashed.begin(), report.crashed.end());
-  }
+  report.ranks = run_sharded<LogProtocol, LogHarvest>(report, params, plan);
 
   const LogTiming timing = derive_log_timing(params, plan, report.options);
   report.settled =
@@ -985,23 +857,18 @@ LogReport run_log(const PostalParams& params, const FaultPlan* plan,
   }
 
   report.commit_latency =
-      last_final_decide(report.ranks, report.final_members, crashed);
-  report.baseline =
-      (plan == nullptr || plan->empty())
-          ? report.commit_latency
-          : fault_free_latency(params, report.options, report.final_members);
+      last_final_decide(report.ranks, report.final_members, report.crashed);
+  // The fault-free reference for recovery_time (bench_log's trajectory
+  // quantity): the same resolved options with no plan attached.
+  report.baseline = report.commit_latency;
+  if (plan != nullptr && !plan->empty()) {
+    const LogHarvest reference =
+        run_reference<LogProtocol, LogHarvest>(params, report.options);
+    report.baseline = last_final_decide(reference.ranks, report.final_members, {});
+  }
   report.recovery_time = report.commit_latency > report.baseline
                              ? report.commit_latency - report.baseline
                              : Rational(0);
-
-  ValidatorOptions vopts;
-  vopts.messages = 1;
-  vopts.preholds = true;  // control-plane traffic: no payload causality
-  vopts.fifo_receive = true;
-  vopts.require_coverage = false;
-  vopts.time_path = report.options.time_path;
-  if (plan != nullptr) vopts.crashes = plan->crashes;
-  report.validation = validate_schedule(report.result.schedule, params, vopts);
 
   report.check = check_log(report, params, plan);
   return report;

@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "coord/check.hpp"
+#include "coord/run_core.hpp"
 #include "faults/fault_plan.hpp"
 #include "model/genfib.hpp"
 #include "sim/machine.hpp"
@@ -171,11 +172,7 @@ struct RankLog {
 };
 
 /// Harvested per-run protocol state (per-shard instances compose).
-struct LogHarvest {
-  LogCounters counters;
-  std::vector<RankLog> ranks;                ///< sized n
-  std::vector<std::vector<LogEvent>> logs;   ///< per rank, chronological
-};
+using LogHarvest = RunHarvest<LogCounters, RankLog, LogEvent>;
 
 /// Config-command value encoding, shared with the validator and tests:
 /// bit 31 = config flag, bit 30 = add (else remove), bits 16..29 = the
@@ -262,7 +259,6 @@ class LogProtocol final : public Protocol {
     std::vector<std::uint8_t> committed;       ///< per-slot: committed this view
     std::vector<std::vector<std::uint8_t>> acked;  ///< per-slot ack bitmaps
     std::vector<std::uint32_t> ack_counts;
-    Rational port_free;               ///< local mirror of the output port
     std::vector<LogEvent> log;
   };
 
@@ -284,7 +280,6 @@ class LogProtocol final : public Protocol {
   [[nodiscard]] bool done(const ProcState& st) const {
     return st.commit_prefix == total_slots_;
   }
-  Rational do_send(MachineContext& ctx, ProcId dst, const Packet& packet);
   void log_event(ProcState& st, const Rational& now, LogEvent::Kind kind,
                  std::uint32_t view, std::uint32_t slot, std::uint32_t value,
                  const Rational& until = Rational(0));
@@ -293,11 +288,12 @@ class LogProtocol final : public Protocol {
   void try_acquire(MachineContext& ctx);
   void acquire(MachineContext& ctx);
   void propose_batch(MachineContext& ctx);
-  /// Fibonacci-tree sends of a PROPOSE/COMMIT over the renamed member-index
-  /// range [renamed, hi), rooted at the view's leader in `cfg`.
+  /// Fibonacci-tree sends of a PROPOSE/COMMIT from member index `idx`
+  /// (none if idx is not a member) over its renamed range up to `hi`,
+  /// rooted at the view's leader in `cfg`.
   void relay_range(MachineContext& ctx, const Config& cfg, bool commit,
                    std::uint32_t view, std::uint32_t slot, std::uint32_t value,
-                   std::uint64_t renamed, std::uint64_t hi);
+                   std::uint64_t idx, std::uint64_t hi);
   void decide(MachineContext& ctx, std::uint32_t slot, std::uint32_t value,
               std::uint32_t view);
   /// Advance the commit prefix and apply any config commands it crossed.
@@ -311,7 +307,6 @@ class LogProtocol final : public Protocol {
   void commit_slot(MachineContext& ctx, std::uint32_t slot);
 
   std::uint64_t n_;
-  Rational lambda_;
   GenFib fib_;
   LogOptions options_;
   std::uint64_t total_slots_;

@@ -8,6 +8,7 @@
 
 #include "model/genfib.hpp"
 #include "support/error.hpp"
+#include "support/parse.hpp"
 #include "support/prng.hpp"
 
 namespace postal {
@@ -28,6 +29,17 @@ void FaultPlan::validate(std::uint64_t n) const {
                    "FaultPlan: spike window must satisfy 0 <= from < until");
     POSTAL_REQUIRE(s.extra >= Rational(0), "FaultPlan: spike extra must be >= 0");
   }
+}
+
+std::vector<ProcId> crashed_ranks(std::uint64_t n, const FaultPlan* plan) {
+  std::vector<ProcId> ranks;
+  if (plan == nullptr) return ranks;
+  for (const CrashFault& c : plan->crashes) {
+    if (c.proc < n) ranks.push_back(c.proc);
+  }
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  return ranks;
 }
 
 namespace {
@@ -166,7 +178,8 @@ class PlanParser {
     const std::size_t start = pos_;
     while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
     POSTAL_REQUIRE(pos_ > start, "parse_fault_plan: expected an unsigned integer");
-    return std::stoull(text_.substr(start, pos_ - start));
+    return postal::parse_uint(text_.substr(start, pos_ - start),
+                              "parse_fault_plan: unsigned integer");
   }
 
   ProcId parse_proc() {

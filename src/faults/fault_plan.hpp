@@ -90,6 +90,9 @@ struct FaultPlan {
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };
 
+/// The ranks below n that `plan` crashes (nullptr = none), sorted, unique.
+[[nodiscard]] std::vector<ProcId> crashed_ranks(std::uint64_t n, const FaultPlan* plan);
+
 /// Serialize to a single JSON object with exact-string rationals, e.g.
 ///   {"seed":7,"crashes":[{"proc":3,"time":"5/2"}],
 ///    "losses":[{"src":0,"dst":3,"p":"1/10","max_losses":3}],

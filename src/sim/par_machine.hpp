@@ -76,7 +76,7 @@ class ShardProtocolFactory {
 /// ShardProtocolFactory for the common case: every shard gets `P`
 /// constructed from the same argument tuple.
 template <typename P, typename... Args>
-class ProtocolFactory final : public ShardProtocolFactory {
+class ProtocolFactory : public ShardProtocolFactory {
  public:
   explicit ProtocolFactory(Args... args) : args_(std::move(args)...) {}
 
@@ -88,6 +88,27 @@ class ProtocolFactory final : public ShardProtocolFactory {
 
  private:
   std::tuple<Args...> args_;
+};
+
+/// ProtocolFactory that also folds every reclaimed instance into one
+/// caller-owned harvest through `P::harvest(H&) const`. Each rank's handlers
+/// run on exactly one shard, so per-rank harvest slots are written once and
+/// counter sums equal the sequential run's totals. Reference-typed Args
+/// (`const Options&`) are stored as references, never copied.
+template <typename P, typename H, typename... Args>
+class HarvestingFactory final : public ProtocolFactory<P, Args...> {
+ public:
+  explicit HarvestingFactory(H& harvest, Args... args)
+      : ProtocolFactory<P, Args...>(std::forward<Args>(args)...),
+        harvest_(harvest) {}
+
+  void reclaim(std::uint32_t /*shard*/,
+               std::unique_ptr<Protocol> protocol) override {
+    static_cast<const P&>(*protocol).harvest(harvest_);
+  }
+
+ private:
+  H& harvest_;
 };
 
 /// Deduce the factory's stored-argument types from the call site:

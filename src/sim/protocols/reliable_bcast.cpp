@@ -1,7 +1,6 @@
 #include "sim/protocols/reliable_bcast.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "sim/par_machine.hpp"
 #include "support/error.hpp"
@@ -23,44 +22,6 @@ Packet make_data(ProcId sender, std::uint64_t lo, std::uint64_t hi) {
 Packet make_ack(ProcId sender) {
   return Packet{/*msg=*/0, static_cast<std::uint64_t>(sender) << 32, 0};
 }
-
-// Factory for the sharded runner: one ReliableBcastProtocol per shard,
-// counters folded back on reclaim. Each counter increments inside exactly
-// one rank's handler, and a rank's handlers run on the shard that owns it,
-// so the per-shard sums equal the sequential run's totals.
-class ReliableBcastFactory final : public ShardProtocolFactory {
- public:
-  ReliableBcastFactory(const PostalParams& params,
-                       const ReliableBcastOptions& options)
-      : params_(params), options_(options) {}
-
-  [[nodiscard]] std::unique_ptr<Protocol> make(std::uint32_t /*shard*/,
-                                               std::uint32_t /*shards*/) override {
-    return std::make_unique<ReliableBcastProtocol>(params_, options_);
-  }
-
-  void reclaim(std::uint32_t /*shard*/,
-               std::unique_ptr<Protocol> protocol) override {
-    const ReliableBcastCounters& c =
-        static_cast<const ReliableBcastProtocol&>(*protocol).counters();
-    counters_.data_sends += c.data_sends;
-    counters_.retransmissions += c.retransmissions;
-    counters_.acks_sent += c.acks_sent;
-    counters_.acks_received += c.acks_received;
-    counters_.timeouts += c.timeouts;
-    counters_.dead_declared += c.dead_declared;
-    counters_.repairs += c.repairs;
-  }
-
-  [[nodiscard]] const ReliableBcastCounters& counters() const noexcept {
-    return counters_;
-  }
-
- private:
-  const PostalParams& params_;
-  const ReliableBcastOptions& options_;
-  ReliableBcastCounters counters_;
-};
 
 }  // namespace
 
@@ -88,6 +49,16 @@ Rational ReliableBcastProtocol::do_send(MachineContext& ctx, ProcId dst,
   st.port_free = start + Rational(1);
   ctx.send(dst, packet);
   return start;
+}
+
+void ReliableBcastProtocol::harvest(ReliableBcastCounters& out) const {
+  out.data_sends += counters_.data_sends;
+  out.retransmissions += counters_.retransmissions;
+  out.acks_sent += counters_.acks_sent;
+  out.acks_received += counters_.acks_received;
+  out.timeouts += counters_.timeouts;
+  out.dead_declared += counters_.dead_declared;
+  out.repairs += counters_.repairs;
 }
 
 Rational ReliableBcastProtocol::timeout_base(std::uint64_t m) {
@@ -249,9 +220,10 @@ ReliableBcastReport run_reliable_bcast(const PostalParams& params,
     machine.set_threads(options.threads);
     machine.set_trace_mode(options.trace_mode);
     if (plan != nullptr) machine.attach_faults(*plan);
-    ReliableBcastFactory factory(params, options);
+    HarvestingFactory<ReliableBcastProtocol, ReliableBcastCounters,
+                      const PostalParams&, const ReliableBcastOptions&>
+        factory(report.counters, params, options);
     report.result = machine.run(factory);
-    report.counters = factory.counters();
   } else {
     Machine machine(params, /*messages=*/1);
     machine.set_time_path(options.time_path);
@@ -259,30 +231,21 @@ ReliableBcastReport run_reliable_bcast(const PostalParams& params,
     if (plan != nullptr) machine.attach_faults(*plan);
     ReliableBcastProtocol protocol(params, options);
     report.result = machine.run(protocol);
-    report.counters = protocol.counters();
+    protocol.harvest(report.counters);
   }
 
   GenFib fib(params.lambda());
   report.baseline = params.n() >= 2 ? fib.f(params.n()) : Rational(0);
 
   const std::uint64_t n = params.n();
-  std::vector<bool> crashed(n, false);
-  if (plan != nullptr) {
-    for (const CrashFault& c : plan->crashes) {
-      if (c.proc < n && !crashed[c.proc]) {
-        crashed[c.proc] = true;
-        report.crashed.push_back(c.proc);
-      }
-    }
-    std::sort(report.crashed.begin(), report.crashed.end());
-  }
+  report.crashed = crashed_ranks(n, plan);
 
   // Coverage and completion are judged from the trace (actual deliveries),
   // never from the schedule: a lost transmission is in the schedule but
   // delivered nothing.
   report.completion = Rational(0);
   for (ProcId p = 1; p < n; ++p) {
-    if (crashed[p]) continue;
+    if (std::binary_search(report.crashed.begin(), report.crashed.end(), p)) continue;
     const auto arrival = report.result.trace.arrival(p, 0);
     if (!arrival.has_value()) {
       report.uncovered_alive.push_back(p);

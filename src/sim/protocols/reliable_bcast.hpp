@@ -88,9 +88,9 @@ class ReliableBcastProtocol final : public Protocol {
   void on_receive(MachineContext& ctx, const Packet& packet) override;
   void on_timer(MachineContext& ctx, std::uint64_t token) override;
 
-  [[nodiscard]] const ReliableBcastCounters& counters() const noexcept {
-    return counters_;
-  }
+  /// Add this instance's counters into `out` (per-shard instances sum to
+  /// the sequential totals: each counter moves in one rank's handler).
+  void harvest(ReliableBcastCounters& out) const;
 
  private:
   enum class SlotState : std::uint8_t { kPending, kAcked, kDead };

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "support/error.hpp"
+#include "support/parse.hpp"
 #include "support/ticks.hpp"
 
 namespace postal::svc {
@@ -27,28 +28,10 @@ std::vector<std::string> split(const std::string& text, char sep) {
   }
 }
 
-std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  if (text.empty()) throw InvalidArgument("WorkloadSpec: empty " + what);
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      throw InvalidArgument("WorkloadSpec: bad " + what + " '" + text + "'");
-    }
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      throw InvalidArgument("WorkloadSpec: " + what + " overflows: '" + text + "'");
-    }
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
 std::int64_t parse_i64(const std::string& text, const std::string& what) {
-  const std::uint64_t value = parse_u64(text, what);
-  if (value > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
-    throw InvalidArgument("WorkloadSpec: " + what + " overflows: '" + text + "'");
-  }
-  return static_cast<std::int64_t>(value);
+  return static_cast<std::int64_t>(
+      parse_uint(text, "WorkloadSpec: " + what, 0,
+                 std::numeric_limits<std::int64_t>::max()));
 }
 
 MixEntry parse_mix_entry(const std::string& text) {
@@ -64,11 +47,11 @@ MixEntry parse_mix_entry(const std::string& text) {
     const std::string value = field.substr(1);
     switch (field[0]) {
       case 'w':
-        entry.weight = parse_u64(value, "mix weight");
+        entry.weight = parse_uint(value, "WorkloadSpec: mix weight");
         saw_w = true;
         break;
       case 'n':
-        entry.n = parse_u64(value, "mix n");
+        entry.n = parse_uint(value, "WorkloadSpec: mix n");
         saw_n = true;
         break;
       case 'l':
@@ -76,7 +59,7 @@ MixEntry parse_mix_entry(const std::string& text) {
         saw_l = true;
         break;
       case 'm':
-        entry.m = parse_u64(value, "mix m");
+        entry.m = parse_uint(value, "WorkloadSpec: mix m");
         saw_m = true;
         break;
       default:
@@ -171,7 +154,7 @@ WorkloadSpec WorkloadSpec::parse(const std::string& text) {
       spec.off_ticks = parse_i64(value, "off");
       saw_phase = true;
     } else if (key == "jobs") {
-      spec.jobs = parse_u64(value, "jobs");
+      spec.jobs = parse_uint(value, "WorkloadSpec: jobs");
     } else if (key == "mix") {
       saw_mix = true;
       spec.mix.clear();

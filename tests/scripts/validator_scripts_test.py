@@ -4,7 +4,8 @@
 Covers validate_bench_records.py (the CI gate on BENCH_postal.json),
 compare_sweep_records.py (the sweep determinism contract), and
 compare_trajectory.py's guarded-metric floors (the threads_hw-keyed
-ParMachine speedup gate): happy paths,
+ParMachine speedup gate) and its exact-value gate on the E26/E27
+coordination records: happy paths,
 malformed JSON lines, missing stable keys, zero-record files, MISMATCH
 verdicts, unmet --expect names, the --svc percentile-key contract on
 service records (docs/SERVICE.md), thread-count and wall-time
@@ -348,6 +349,74 @@ class CompareTrajectoryMissingBaselineTest(unittest.TestCase):
         self.assertEqual(code, 0, err)
         self.assertNotIn("no committed baseline", err)
         self.assertIn("compared 1 bench(es)", out)
+
+
+class CompareTrajectoryExactValuesTest(unittest.TestCase):
+    """E26/E27 exact fields: any change fails; timings and other benches do not."""
+
+    @staticmethod
+    def coord_record(**extra_overrides):
+        extra = {"n8_l5/2_elect_latency": "87/2",
+                 "n8_l5/2_recovery_over_lambda": "116/5",
+                 "n8_l5/2_wall_ms": "2.67"}
+        extra.update(extra_overrides)
+        return good_record(bench="bench_coord", n=48, makespan="242",
+                           verdict="CERTIFIED", extra=extra)
+
+    @staticmethod
+    def run_compare(fresh_records, baseline_records):
+        with tempfile.TemporaryDirectory() as base_dir:
+            with open(os.path.join(base_dir, "E26_coord.json"), "w",
+                      encoding="utf-8") as fh:
+                for rec in baseline_records:
+                    fh.write(json.dumps(rec) + "\n")
+            with TempRecordFile(fresh_records) as fresh_path:
+                return run_script("compare_trajectory.py", fresh_path,
+                                  "--baseline-dir", base_dir)
+
+    def test_same_exact_fields_with_other_timings_pass(self):
+        fresh = self.coord_record(**{"n8_l5/2_wall_ms": "3.10"})
+        fresh["wall_ms"] = 9.5
+        code, _, err = self.run_compare([fresh], [self.coord_record()])
+        self.assertEqual(code, 0, err)
+        self.assertNotIn("REGRESSION", err)
+
+    def test_changed_extra_value_fails(self):
+        code, _, err = self.run_compare(
+            [self.coord_record(**{"n8_l5/2_elect_latency": "89/2"})],
+            [self.coord_record()])
+        self.assertEqual(code, 1)
+        self.assertIn("REGRESSION", err)
+        self.assertIn("n8_l5/2_elect_latency", err)
+
+    def test_changed_makespan_fails(self):
+        fresh = self.coord_record()
+        fresh["makespan"] = "243"
+        code, _, err = self.run_compare([fresh], [self.coord_record()])
+        self.assertEqual(code, 1)
+        self.assertIn("bench_coord.makespan", err)
+
+    def test_missing_and_added_extra_keys_fail(self):
+        fresh = self.coord_record()
+        del fresh["extra"]["n8_l5/2_recovery_over_lambda"]
+        fresh["extra"]["n8_l5/2_new_field"] = "1"
+        code, _, err = self.run_compare([fresh], [self.coord_record()])
+        self.assertEqual(code, 1)
+        self.assertIn("n8_l5/2_recovery_over_lambda", err)
+        self.assertIn("n8_l5/2_new_field", err)
+
+    def test_other_benches_are_not_exact_gated(self):
+        with tempfile.TemporaryDirectory() as base_dir:
+            with open(os.path.join(base_dir, "E1_demo.json"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(json.dumps(good_record()) + "\n")
+            changed = good_record(extra={"threads": "4", "point_ms": "0.5",
+                                         "sends": "14"})
+            with TempRecordFile([changed]) as fresh:
+                code, _, err = run_script("compare_trajectory.py", fresh,
+                                          "--baseline-dir", base_dir)
+        self.assertEqual(code, 0, err)
+        self.assertNotIn("REGRESSION", err)
 
 
 if __name__ == "__main__":
