@@ -302,8 +302,10 @@ if [ "$SANITIZE" -eq 1 ]; then
   # chaos sweep stresses them with random plans), and the
   # whole service layer (parser edge cases, the 200+-scenario soak, the
   # histogram's bucket math at 2^64 extremes, and the faulted exec tier),
-  # and the coordination protocols (bit-packed wire words, per-shard
-  # harvests folded through the shared run core).
+  # the coordination protocols (bit-packed wire words, per-shard
+  # harvests folded through the shared run core), Rational parsing at the
+  # int64 edges, and the extension models' shared port-window checker
+  # with its mutant crosscheck.
   echo "== sanitize: address,undefined"
   cmake -B build-asan -G Ninja -DPOSTAL_SANITIZE=address,undefined
   cmake --build build-asan --target test_differential test_validator_fuzz \
@@ -312,7 +314,9 @@ if [ "$SANITIZE" -eq 1 ]; then
     test_tick_differential test_par_machine test_par_differential \
     test_tick_schedule test_svc_workload test_svc_service test_svc_soak \
     test_svc_percentile test_svc_chaos test_coord_election \
-    test_coord_consensus test_coord_log
+    test_coord_consensus test_coord_log test_rational \
+    test_port_check_crosscheck test_hetero test_kported test_logp_machine \
+    test_reduce
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
   ./build-asan/tests/test_validator
@@ -335,6 +339,12 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-asan/tests/test_coord_election
   ./build-asan/tests/test_coord_consensus
   ./build-asan/tests/test_coord_log
+  ./build-asan/tests/test_rational
+  ./build-asan/tests/test_port_check_crosscheck
+  ./build-asan/tests/test_hetero
+  ./build-asan/tests/test_kported
+  ./build-asan/tests/test_logp_machine
+  ./build-asan/tests/test_reduce
 fi
 
 echo "ALL CHECKS PASSED"

@@ -17,9 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "sched/port_check.hpp"
 #include "sched/schedule.hpp"
 #include "support/rational.hpp"
 
@@ -56,11 +56,7 @@ class HeteroLatency {
 };
 
 /// Result of simulating a single-message broadcast under a matrix.
-struct HeteroSimReport {
-  bool ok = false;
-  std::vector<std::string> violations;
-  Rational completion;
-};
+using HeteroSimReport = PortCheckReport;
 
 /// Exact validation of a single-message broadcast schedule from p_0 under
 /// per-pair latencies (arrival = t + lambda(src, dst)).

@@ -16,10 +16,8 @@
 // received earlier). validate_reduce checks combine-readiness and closure.
 #pragma once
 
-#include <string>
-#include <vector>
-
 #include "model/params.hpp"
+#include "sched/port_check.hpp"
 #include "sched/schedule.hpp"
 #include "support/rational.hpp"
 
@@ -33,12 +31,9 @@ namespace postal {
 /// Exact completion time: f_lambda(n) (0 for n == 1), matching broadcast.
 [[nodiscard]] Rational predict_reduce(const PostalParams& params);
 
-/// Result of checking a reduction schedule.
-struct ReduceReport {
-  bool ok = false;
-  std::vector<std::string> violations;
-  Rational completion;  ///< time p_0 holds the full combination
-};
+/// Result of checking a reduction schedule; completion is the time p_0
+/// holds the full combination.
+using ReduceReport = PortCheckReport;
 
 /// Validate any reduction schedule for MPS(n, lambda) with root p_0:
 ///  * port exclusivity (send and receive, as in the postal model);

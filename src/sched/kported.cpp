@@ -1,11 +1,7 @@
 #include "sched/kported.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <queue>
-#include <string>
-
-#include "support/interval_set.hpp"
 
 namespace postal {
 
@@ -109,61 +105,22 @@ Rational kported_optimal_greedy(const PostalParams& params, std::uint64_t k) {
 KPortedReport validate_kported(const Schedule& schedule, const PostalParams& params,
                                std::uint64_t k) {
   POSTAL_REQUIRE(k >= 1, "validate_kported: k must be >= 1");
-  const std::uint64_t n = params.n();
-  const Rational& lambda = params.lambda();
-  KPortedReport report;
-  auto violate = [&report](const std::string& text) {
-    report.violations.push_back(text);
-  };
-
-  std::vector<SendEvent> events = schedule.events();
-  std::stable_sort(events.begin(), events.end(),
-                   [](const SendEvent& a, const SendEvent& b) { return a.t < b.t; });
-
-  std::vector<std::vector<Rational>> send_times(n);
-  std::vector<IntervalSet> recv_port(n);
-  std::vector<std::optional<Rational>> informed(n);
-  informed[0] = Rational(0);
-
-  for (const SendEvent& e : events) {
-    if (e.src >= n || e.dst >= n) {
-      violate(violation_prefix(e) + "processor id out of range");
-      continue;
-    }
-    const auto& held = informed[e.src];
-    if (!held.has_value() || e.t < *held) {
-      violate(violation_prefix(e) + "sender not informed");
-    }
-    // k-port rule: at most k send windows [t, t+1) may overlap. Since
-    // events come in time order, count earlier sends still open at e.t.
+  // k-port rule: at most k send windows [t, t+1) may overlap. Since events
+  // come in time order, count earlier sends still open at e.t; a refused
+  // send's window counts too.
+  std::vector<std::vector<Rational>> send_times(params.n());
+  PortModel model;
+  model.arrival = [&params](const SendEvent& e) { return e.t + params.lambda(); };
+  model.not_informed = "sender not informed";
+  model.send_conflict = "more than k overlapping sends";
+  model.claim_send = [&send_times, k](const SendEvent& e) {
     auto& mine = send_times[e.src];
-    std::uint64_t open = 0;
-    for (auto it = mine.rbegin(); it != mine.rend(); ++it) {
-      if (*it + Rational(1) > e.t) {
-        ++open;
-      } else {
-        break;  // times are nondecreasing; older windows are closed
-      }
-    }
-    if (open >= k) violate(violation_prefix(e) + "more than k overlapping sends");
+    const auto open = static_cast<std::uint64_t>(
+        mine.end() - std::upper_bound(mine.begin(), mine.end(), e.t - Rational(1)));
     mine.push_back(e.t);
-    const Rational arrive = e.t + lambda;
-    if (recv_port[e.dst].insert(arrive - Rational(1), arrive)) {
-      violate(violation_prefix(e) + "receive-port conflict");
-    }
-    auto& dst = informed[e.dst];
-    if (!dst.has_value() || arrive < *dst) dst = arrive;
-    report.completion = rmax(report.completion, arrive);
-  }
-  for (ProcId p = 0; p < n; ++p) {
-    if (!informed[p].has_value()) {
-      // Appended, not "p" + ...: GCC 12 at -O3 reports a false
-      // -Werror=restrict inside operator+ on a temporary string.
-      violate(std::string("p").append(std::to_string(p)).append(" never informed"));
-    }
-  }
-  report.ok = report.violations.empty();
-  return report;
+    return open < k;
+  };
+  return check_port_windows(schedule, params.n(), model);
 }
 
 }  // namespace postal

@@ -20,6 +20,14 @@ std::string violation_prefix(const SendEvent& e) {
   return oss.str();
 }
 
+std::string proc_text(ProcId p, const char* what, std::optional<MsgId> number) {
+  std::string text = "p";
+  text += std::to_string(p);
+  text += what;
+  if (number.has_value()) text += std::to_string(*number);
+  return text;
+}
+
 void Schedule::add(ProcId src, ProcId dst, MsgId msg, Rational t) {
   add(SendEvent{src, dst, msg, std::move(t)});
 }

@@ -18,16 +18,6 @@ std::string SimReport::summary() const {
 
 namespace {
 
-/// "p<p><what>[<number>]", built by appending: GCC 12 at -O3 reports a
-/// false -Werror=restrict inside std::string operator+ on a temporary.
-std::string proc_text(ProcId p, const char* what, std::optional<MsgId> number = {}) {
-  std::string text = "p";
-  text += std::to_string(p);
-  text += what;
-  if (number.has_value()) text += std::to_string(*number);
-  return text;
-}
-
 // The validation loop is written once, generic over the time
 // representation (docs/PERFORMANCE.md). Two policies instantiate it:
 //

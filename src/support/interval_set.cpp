@@ -33,24 +33,4 @@ bool IntervalSet::overlaps(const Rational& lo, const Rational& hi) const {
   return find_overlap(lo, hi).has_value();
 }
 
-Rational IntervalSet::total_length() const {
-  Rational sum{};
-  for (const auto& [lo, hi] : by_lo_) sum += hi - lo;
-  return sum;
-}
-
-Rational IntervalSet::earliest_fit(const Rational& from, const Rational& len) const {
-  POSTAL_REQUIRE(Rational{} < len, "IntervalSet::earliest_fit: length must be positive");
-  Rational start = from;
-  // Walk intervals in order; each conflict pushes the start to the end of
-  // the conflicting interval. Intervals are disjoint and sorted, so one
-  // forward pass suffices.
-  for (const auto& [lo, hi] : by_lo_) {
-    if (hi <= start) continue;       // entirely before the candidate slot
-    if (start + len <= lo) break;    // candidate slot fits before this one
-    start = hi;                      // push past the conflicting interval
-  }
-  return start;
-}
-
 }  // namespace postal

@@ -4,20 +4,27 @@
 
 namespace postal {
 
-std::uint64_t parse_uint(const std::string& text, const std::string& what,
-                         std::uint64_t min, std::uint64_t max) {
-  bool ok = !text.empty();
-  std::uint64_t value = 0;
+Digits scan_digits(std::string_view text) {
+  Digits out;
+  out.ok = !text.empty();
   for (const char c : text) {
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (c < '0' || c > '9' ||
-        value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      ok = false;
+    if (c < '0' || c > '9') {
+      out.ok = false;
       break;
     }
-    value = value * 10 + digit;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (out.value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      out.overflow = true;
+    }
+    out.value = out.value * 10 + digit;
   }
-  if (!ok || value < min || value > max) {
+  return out;
+}
+
+std::uint64_t parse_uint(const std::string& text, const std::string& what,
+                         std::uint64_t min, std::uint64_t max) {
+  const Digits digits = scan_digits(text);
+  if (!digits.ok || digits.overflow || digits.value < min || digits.value > max) {
     std::string message = what;
     message.append(": expected an integer in [")
         .append(std::to_string(min))
@@ -28,7 +35,7 @@ std::uint64_t parse_uint(const std::string& text, const std::string& what,
         .append("'");
     throw InvalidArgument(message);
   }
-  return value;
+  return digits.value;
 }
 
 }  // namespace postal

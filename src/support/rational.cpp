@@ -1,7 +1,9 @@
 #include "support/rational.hpp"
 
-#include <cstdlib>
 #include <ostream>
+#include <string_view>
+
+#include "support/parse.hpp"
 
 namespace postal {
 
@@ -21,6 +23,19 @@ std::int64_t checked_mul(std::int64_t a, std::int64_t b) {
     throw OverflowError("Rational: 64-bit multiplication overflow");
   }
   return out;
+}
+
+/// `part` of `text` as -?D with |value| <= 2^63 - 1. (-2^63 is refused:
+/// std::gcd, which normalize() calls, has no |INT64_MIN|.)
+std::int64_t parse_integer(std::string_view part, const std::string& text) {
+  const bool negative = !part.empty() && part.front() == '-';
+  const Digits d = scan_digits(part.substr(negative ? 1 : 0));
+  if (!d.ok) throw InvalidArgument("Rational::parse: cannot parse '" + text + "'");
+  if (d.overflow || d.value > static_cast<std::uint64_t>(INT64_MAX)) {
+    throw OverflowError("Rational::parse: value out of 64-bit range: '" + text + "'");
+  }
+  const auto value = static_cast<std::int64_t>(d.value);
+  return negative ? -value : value;
 }
 
 }  // namespace
@@ -99,34 +114,22 @@ Rational& Rational::operator/=(const Rational& rhs) {
 
 Rational Rational::parse(const std::string& text) {
   POSTAL_REQUIRE(!text.empty(), "Rational::parse: empty string");
+  // The whole string is one of -?D, -?D/-?D, -?D.D or -?.D.
   const auto slash = text.find('/');
-  const auto dot = text.find('.');
-  try {
-    if (slash != std::string::npos) {
-      const std::int64_t num = std::stoll(text.substr(0, slash));
-      const std::int64_t den = std::stoll(text.substr(slash + 1));
-      return Rational(num, den);
-    }
-    if (dot != std::string::npos) {
-      const std::string whole = text.substr(0, dot);
-      const std::string frac = text.substr(dot + 1);
-      POSTAL_REQUIRE(!frac.empty(), "Rational::parse: trailing decimal point");
-      POSTAL_REQUIRE(frac.size() <= 18, "Rational::parse: too many decimal digits");
-      std::int64_t den = 1;
-      for (std::size_t i = 0; i < frac.size(); ++i) den = checked_mul(den, 10);
-      const std::int64_t w = whole.empty() || whole == "-" ? 0 : std::stoll(whole);
-      const std::int64_t f = std::stoll(frac);
-      POSTAL_REQUIRE(f >= 0, "Rational::parse: malformed fraction digits");
-      const bool negative = !whole.empty() && whole[0] == '-';
-      const std::int64_t mag = checked_add(checked_mul(std::llabs(w), den), f);
-      return Rational(negative ? checked_neg(mag) : mag, den);
-    }
-    return Rational(static_cast<std::int64_t>(std::stoll(text)));
-  } catch (const std::invalid_argument&) {
-    throw InvalidArgument("Rational::parse: cannot parse '" + text + "'");
-  } catch (const std::out_of_range&) {
-    throw OverflowError("Rational::parse: value out of 64-bit range: '" + text + "'");
+  if (slash != std::string::npos) {
+    return Rational(parse_integer(text.substr(0, slash), text),
+                    parse_integer(text.substr(slash + 1), text));
   }
+  const auto dot = text.find('.');
+  if (dot == std::string::npos) return Rational(parse_integer(text, text));
+  const std::string frac = text.substr(dot + 1);
+  POSTAL_REQUIRE(!frac.empty(), "Rational::parse: trailing decimal point");
+  POSTAL_REQUIRE(frac.size() <= 18, "Rational::parse: too many decimal digits");
+  POSTAL_REQUIRE(scan_digits(frac).ok, "Rational::parse: malformed fraction digits");
+  // -?W.F is the integer -?WF over 10^|F|.
+  std::int64_t den = 1;
+  for (std::size_t i = 0; i < frac.size(); ++i) den *= 10;
+  return Rational(parse_integer(text.substr(0, dot) + frac, text), den);
 }
 
 std::string Rational::str() const {

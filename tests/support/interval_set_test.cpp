@@ -1,5 +1,5 @@
 // Unit tests for postal::IntervalSet, the busy-port tracker behind the
-// postal-model validator.
+// extension models' shared port-window checker (sched/port_check.hpp).
 #include "support/interval_set.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@ TEST(IntervalSet, StartsEmpty) {
   const IntervalSet set;
   EXPECT_TRUE(set.empty());
   EXPECT_EQ(set.size(), 0u);
-  EXPECT_EQ(set.total_length(), Rational(0));
 }
 
 TEST(IntervalSet, InsertDisjointSucceeds) {
@@ -19,7 +18,6 @@ TEST(IntervalSet, InsertDisjointSucceeds) {
   EXPECT_FALSE(set.insert(Rational(0), Rational(1)).has_value());
   EXPECT_FALSE(set.insert(Rational(2), Rational(3)).has_value());
   EXPECT_EQ(set.size(), 2u);
-  EXPECT_EQ(set.total_length(), Rational(2));
 }
 
 TEST(IntervalSet, HalfOpenIntervalsMayTouch) {
@@ -79,42 +77,6 @@ TEST(IntervalSet, OverlapsQueryDoesNotInsert) {
   EXPECT_TRUE(set.overlaps(Rational(1, 2), Rational(2)));
   EXPECT_FALSE(set.overlaps(Rational(1), Rational(2)));
   EXPECT_EQ(set.size(), 1u);
-}
-
-TEST(IntervalSet, EarliestFitInEmptySetIsFrom) {
-  const IntervalSet set;
-  EXPECT_EQ(set.earliest_fit(Rational(3), Rational(1)), Rational(3));
-}
-
-TEST(IntervalSet, EarliestFitSkipsBusyIntervals) {
-  IntervalSet set;
-  ASSERT_FALSE(set.insert(Rational(0), Rational(2)).has_value());
-  ASSERT_FALSE(set.insert(Rational(3), Rational(4)).has_value());
-  // Length 1 fits in the [2, 3) gap.
-  EXPECT_EQ(set.earliest_fit(Rational(0), Rational(1)), Rational(2));
-  // Length 2 does not fit in the gap; must go after [3, 4).
-  EXPECT_EQ(set.earliest_fit(Rational(0), Rational(2)), Rational(4));
-}
-
-TEST(IntervalSet, EarliestFitHonorsFrom) {
-  IntervalSet set;
-  ASSERT_FALSE(set.insert(Rational(5), Rational(6)).has_value());
-  EXPECT_EQ(set.earliest_fit(Rational(11, 2), Rational(1)), Rational(6));
-}
-
-TEST(IntervalSet, EarliestFitRequiresPositiveLength) {
-  const IntervalSet set;
-  EXPECT_THROW(static_cast<void>(set.earliest_fit(Rational(0), Rational(0))),
-               InvalidArgument);
-}
-
-TEST(IntervalSet, ManyUnitIntervalsTotalLength) {
-  IntervalSet set;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_FALSE(set.insert(Rational(2 * i), Rational(2 * i + 1)).has_value());
-  }
-  EXPECT_EQ(set.size(), 100u);
-  EXPECT_EQ(set.total_length(), Rational(100));
 }
 
 }  // namespace

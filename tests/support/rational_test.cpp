@@ -288,5 +288,27 @@ TEST(Rational, ParseReportsOverflowDistinctly) {
                OverflowError);
 }
 
+TEST(Rational, ParseMatchesTheWholeString) {
+  // Each of these used to parse a prefix and drop the rest.
+  for (const char* text : {"5/2abc", "1/2/3", "12abc", "0x10", "1.+5", " 5", "+5",
+                           "5 ", "1.5/2", "1/2.5", "--5", "-", "1e5"}) {
+    EXPECT_THROW(static_cast<void>(Rational::parse(text)), InvalidArgument) << text;
+  }
+}
+
+TEST(Rational, ParseKeepsMagnitudesWithinInt64Max) {
+  EXPECT_EQ(Rational::parse("9223372036854775807"), Rational(INT64_MAX));
+  EXPECT_EQ(Rational::parse("-9223372036854775807"), Rational(-INT64_MAX));
+  EXPECT_EQ(Rational::parse("-5/-2"), Rational(5, 2));
+  EXPECT_EQ(Rational::parse("-92233720368547758.07"), Rational(-INT64_MAX, 100));
+  // A magnitude of 2^63 or more is an overflow, never UB.
+  for (const char* text : {"-9223372036854775808.5", "-9223372036854775808",
+                           "-922337203685477580.8", "922337203685477580.8",
+                           "1/-9223372036854775808"}) {
+    EXPECT_THROW(static_cast<void>(Rational::parse(text)), OverflowError) << text;
+  }
+  EXPECT_THROW(static_cast<void>(Rational::parse(".-5")), InvalidArgument);
+}
+
 }  // namespace
 }  // namespace postal
